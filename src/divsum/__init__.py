@@ -42,14 +42,12 @@ from .parsing import (
     SeriesExpr,
     parse_series,
 )
-from .polynomials import Polynomial, RationalFunction, polynomial_gcd
+from .polynomials import Polynomial
 from .rationals import (
     binomial,
     factorial,
     format_rational,
     parse_rational,
-    pow_rational,
-    rational_arith,
 )
 from .sequences import (
     BernoulliTable,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .cfinite import CFiniteSeries, axiomatic_sum, characteristic_polynomial
 from .rationals import format_rational
@@ -103,19 +103,6 @@ class ComparisonReport:
         }
 
 
-def _terms(series: CFiniteSeries) -> Iterator[tuple[Fraction, bool]]:
-    """Yield (a_n, state_is_zero); a zero state proves the tail vanishes."""
-    window = list(series.initial)
-    rec = series.recurrence
-    for a in window:
-        yield a, False
-    while True:
-        nxt = sum(c * a for c, a in zip(rec, reversed(window)))
-        window.pop(0)
-        window.append(nxt)
-        yield nxt, not any(window)
-
-
 def _growth_radius(series: CFiniteSeries) -> float:
     """Largest root magnitude of the characteristic polynomial.
 
@@ -184,9 +171,8 @@ def _raw_sum(series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig, rel_tol: fl
     xpow = Decimal(1)
     tol = Decimal(repr(rel_tol))
     futility = Decimal("1e30")
-    gen = _terms(series)
-    for n in range(cfg.max_terms):
-        a, state_zero = next(gen)
+    zeros = 0
+    for n, a in zip(range(cfg.max_terms), series.iter_terms()):
         term = Decimal(a.numerator) / Decimal(a.denominator) * xpow if a else Decimal(0)
         s += term
         xpow *= x_dec
@@ -194,7 +180,9 @@ def _raw_sum(series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig, rel_tol: fl
         recent.append(size)
         if len(recent) > dd + 2:
             recent.pop(0)
-        if state_zero:
+        # d zero terms in a row zero the recurrence state: the tail vanishes.
+        zeros = 0 if a else zeros + 1
+        if zeros >= d:
             return s
         growing = growing + 1 if size > prev_term else 0
         prev_term = size
@@ -239,9 +227,7 @@ def _partial_sums(
     out = []
     s = Decimal(0)
     xpow = Decimal(1)
-    gen = _terms(series)
-    for n in range(start + count):
-        a, _ = next(gen)
+    for n, a in zip(range(start + count), series.iter_terms()):
         if a:
             s += Decimal(a.numerator) / Decimal(a.denominator) * xpow
         xpow *= x_dec

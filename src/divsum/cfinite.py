@@ -4,18 +4,23 @@ A :class:`CFiniteSeries` is a formal numerical series whose terms satisfy a
 fixed linear recurrence with constant rational coefficients.  Its generating
 function ``sum a_n x^n`` is a rational function P(x)/Q(x); the summation
 rules (regularity, peeling off the first term, linearity) force the sum of
-the series to be P(1)/Q(1) whenever the reduced Q has no root at 1.  A pole
-at 1 survives reduction exactly when no method obeying those rules can
-assign the series a finite value, and is reported as data, not an error.
+the series to be the value of P/Q at x = 1.  That value is read off the
+orders of vanishing of P and Q at 1 and their first nonzero Taylor
+coefficients there, without reducing P/Q.  When Q vanishes to a higher
+order than P, a pole survives at 1: no method obeying those rules can
+assign the series a finite value, and the pole order is reported as data,
+not an error.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial
 from .rationals import binomial, format_rational
 
 __all__ = [
@@ -73,29 +78,24 @@ class CFiniteSeries:
     def initial(self) -> tuple:
         return self._initial
 
+    def iter_terms(self) -> Iterator[Fraction]:
+        """Yield a_0, a_1, a_2, ... without end, one recurrence step per term."""
+        yield from self._initial
+        rec = self._recurrence
+        window = deque(self._initial, maxlen=len(rec))
+        while True:
+            nxt = sum(c * a for c, a in zip(rec, reversed(window)))
+            window.append(nxt)
+            yield nxt
+
     def term(self, n: int) -> Fraction:
         if n < 0:
             raise IndexError("term index must be nonnegative")
-        d = self.order
-        if n < d:
-            return self._initial[n]
-        window = list(self._initial)
-        for _ in range(d, n + 1):
-            nxt = sum(c * a for c, a in zip(self._recurrence, reversed(window)))
-            window.pop(0)
-            window.append(nxt)
-        return window[-1]
+        return next(islice(self.iter_terms(), n, None))
 
     def terms(self, count: int) -> list:
         """First `count` terms, computed in one forward pass."""
-        d = self.order
-        out = list(self._initial[:count])
-        while len(out) < count:
-            n = len(out)
-            out.append(
-                sum(c * out[n - j] for j, c in enumerate(self._recurrence, start=1))
-            )
-        return out
+        return list(islice(self.iter_terms(), count))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CFiniteSeries):
@@ -220,7 +220,8 @@ def linear_combine(alpha, s: CFiniteSeries, beta, t: CFiniteSeries) -> CFiniteSe
 
     The recurrence is taken from the product of the two characteristic
     polynomials (order d_s + d_t); no attempt is made to minimise it, since
-    reduction happens at the rational-function stage.
+    a longer recurrence only multiplies P and Q by a common factor, which
+    the verdict at x = 1 cancels.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     product = characteristic_polynomial(s) * characteristic_polynomial(t)
@@ -232,31 +233,51 @@ def linear_combine(alpha, s: CFiniteSeries, beta, t: CFiniteSeries) -> CFiniteSe
     return CFiniteSeries(recurrence, initial)
 
 
-def generating_function(series: CFiniteSeries) -> RationalFunction:
-    """Closed form of sum a_n x^n, fully reduced with monic denominator.
+def generating_function(series: CFiniteSeries) -> tuple[Polynomial, Polynomial]:
+    """Closed form P(x)/Q(x) of sum a_n x^n, as the unreduced pair (P, Q).
 
-    Q(x) = 1 - c_1 x - ... - c_d x^d and P(x) is Q times the initial-term
-    polynomial, truncated below degree d.
+    Q(x) = 1 - c_1 x - ... - c_d x^d, so Q(0) = 1, and P(x) is Q times the
+    initial-term polynomial, truncated below degree d.  Common factors of
+    P and Q are left in place.
     """
     d = series.order
     q = Polynomial([Fraction(1)] + [-c for c in series.recurrence])
-    head = Polynomial(series.initial)
-    product = q * head
-    p = Polynomial(product.coefficients[:d])
-    return RationalFunction(p, q)
+    product = q * Polynomial(series.initial)
+    return Polynomial(product.coefficients[:d]), q
+
+
+def _order_at_one(p: Polynomial) -> tuple[int, Fraction]:
+    """Order m of vanishing of a nonzero p at x = 1 and the coefficient c
+    with p(x) = c (x - 1)^m + O((x - 1)^(m + 1)).
+
+    The Taylor coefficients at 1 are c_j = sum_i C(i, j) a_i; the first
+    nonzero one is c_m.
+    """
+    a = p.coefficients
+    for j in range(len(a)):
+        c = sum(binomial(i, j) * a[i] for i in range(j, len(a)))
+        if c:
+            return j, c
 
 
 def axiomatic_sum(series: CFiniteSeries) -> SummationOutcome:
     """Sum assigned by the summation rules, or the obstructing pole order.
 
-    Decided only after full gcd reduction of the generating function, so a
-    removable factor at x = 1 never produces a spurious non-summable verdict.
+    With P/Q the generating function, the pole order at x = 1 is
+    m_Q - m_P when that is positive, m being the order of vanishing at 1;
+    factors of x - 1 common to P and Q cancel, so they never produce a
+    spurious non-summable verdict.  Otherwise the sum is the ratio of the
+    first nonzero Taylor coefficients at 1 when the orders match, and 0
+    when P vanishes to a higher order or is zero.
     """
-    gf = generating_function(series)
-    pole = gf.pole_order_at(1)
-    if pole:
-        return SummationOutcome.not_summable(pole)
-    return SummationOutcome.summable(gf.evaluate(1))
+    p, q = generating_function(series)
+    if p.is_zero:
+        return SummationOutcome.summable(0)
+    m_p, c_p = _order_at_one(p)
+    m_q, c_q = _order_at_one(q)
+    if m_q > m_p:
+        return SummationOutcome.not_summable(m_q - m_p)
+    return SummationOutcome.summable(c_p / c_q if m_p == m_q else 0)
 
 
 def recursive_alternating_sum(k: int) -> Fraction:

@@ -1,9 +1,8 @@
-"""Dense univariate polynomials and reduced rational functions over Fraction.
+"""Dense univariate polynomials over Fraction.
 
 Polynomials are coefficient lists, constant term first, with a nonzero
-leading coefficient; the zero polynomial is the empty list.  Rational
-functions are kept fully reduced (polynomial gcd divided out) with a monic
-denominator, so structural equality is value equality.
+leading coefficient; the zero polynomial is the empty list, so structural
+equality is value equality.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-__all__ = ["Polynomial", "RationalFunction", "polynomial_gcd"]
+__all__ = ["Polynomial"]
 
 
 class Polynomial:
@@ -49,12 +48,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
 
     def coefficient(self, k: int) -> Fraction:
         if k < 0:
@@ -116,41 +109,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def __divmod__(self, other: "Polynomial"):
-        """Exact Euclidean division; divisor must be nonzero."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other._coeffs) + 1, 0)
-        d = other.degree
-        lead = other.leading_coefficient
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quot[shift] = factor
-            for i, c in enumerate(other._coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading_coefficient
-        if lead == 1:
-            return self
-        return Polynomial([c / lead for c in self._coeffs])
-
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
         acc = Fraction(0)
@@ -158,95 +116,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def root_multiplicity(self, root) -> int:
-        """Multiplicity of an exact rational root (0 if not a root)."""
-        root = Fraction(root)
-        linear = Polynomial([-root, 1])
-        count = 0
-        p = self
-        while not p.is_zero and p.evaluate(root) == 0:
-            p = p // linear
-            count += 1
-        return count
-
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self._coeffs]})"
 
-
-def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm over the rationals.
-
-    Each remainder is renormalised monic; gcd with the zero polynomial is
-    the other argument made monic.
-    """
-    while not b.is_zero:
-        a, b = b, (a % b).monic()
-    return a.monic()
-
-
-class RationalFunction:
-    """Fully reduced ratio of polynomials with a monic denominator."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, numerator: Polynomial, denominator: Polynomial):
-        if denominator.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if numerator.is_zero:
-            num, den = Polynomial(), Polynomial.constant(1)
-        else:
-            g = polynomial_gcd(numerator, denominator)
-            num = numerator // g
-            den = denominator // g
-            lead = den.leading_coefficient
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    @property
-    def numerator(self) -> Polynomial:
-        return self._num
-
-    @property
-    def denominator(self) -> Polynomial:
-        return self._den
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self._num == other._num and self._den == other._den
-
-    def __hash__(self) -> int:
-        return hash((self._num, self._den))
-
-    def evaluate(self, x) -> Fraction:
-        den = self._den.evaluate(x)
-        if den == 0:
-            raise ZeroDivisionError(f"pole at x = {x}")
-        return self._num.evaluate(x) / den
-
-    def pole_order_at(self, x) -> int:
-        """Order of the pole at x (0 when the function is finite there)."""
-        return self._den.root_multiplicity(x)
-
-    def series_coefficients(self, count: int) -> list:
-        """First `count` Taylor coefficients at 0; denominator(0) must be nonzero."""
-        den = self._den.coefficients
-        if not den or den[0] == 0:
-            raise ZeroDivisionError("rational function has a pole at 0")
-        inv0 = 1 / den[0]
-        out = []
-        for n in range(count):
-            acc = self._num.coefficient(n)
-            for j in range(1, min(n, len(den) - 1) + 1):
-                acc -= den[j] * out[n - j]
-            out.append(acc * inv0)
-        return out
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self._num!r}, {self._den!r})"

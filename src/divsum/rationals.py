@@ -10,7 +10,6 @@ string form is used in all CLI and JSON output.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 __all__ = [
@@ -18,8 +17,6 @@ __all__ = [
     "factorial",
     "format_rational",
     "parse_rational",
-    "pow_rational",
-    "rational_arith",
 ]
 
 
@@ -35,38 +32,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError("factorial requires a nonnegative argument")
     return math.factorial(n)
-
-
-def pow_rational(base, exponent: int) -> Fraction:
-    """Exact integer power of a rational; negative exponents invert."""
-    base = Fraction(base)
-    if exponent < 0 and base == 0:
-        raise ZeroDivisionError("0 cannot be raised to a negative power")
-    return base ** exponent
-
-
-_OPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-}
-
-
-def rational_arith(a, b, op: str) -> Fraction:
-    """Apply one of {add, sub, mul, div} to two rationals, exactly.
-
-    Division by zero raises ZeroDivisionError; the result is always in
-    canonical reduced form (Fraction guarantees this).
-    """
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    a, b = Fraction(a), Fraction(b)
-    if op == "div" and b == 0:
-        raise ZeroDivisionError("rational division by zero")
-    return fn(a, b)
 
 
 def format_rational(value) -> str:

@@ -139,12 +139,6 @@ class TruncatedSeries:
             power *= factor
         return TruncatedSeries(out)
 
-    def even_part(self) -> "TruncatedSeries":
-        """Same order, odd coefficients dropped to zero."""
-        return TruncatedSeries(
-            [c if k % 2 == 0 else Fraction(0) for k, c in enumerate(self._coeffs)]
-        )
-
     def __str__(self) -> str:
         parts = [format_rational(self._coeffs[0])]
         for k, c in enumerate(self._coeffs[1:], start=1):

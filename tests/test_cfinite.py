@@ -19,6 +19,7 @@ from divsum.cfinite import (
     shift,
 )
 from divsum.polynomials import Polynomial
+from divsum.sequences import weighted_bernoulli
 
 F = Fraction
 
@@ -75,21 +76,27 @@ class TestTerms:
             assert s.term(n) == p.evaluate(n) * r ** n
 
 
+def reexpands(series, count):
+    """Q * (a_0 + ... + a_(count-1) x^(count-1)) truncated below degree
+    count equals P: the series of P/Q starts with those terms."""
+    p, q = generating_function(series)
+    product = q * Polynomial(series.terms(count))
+    return Polynomial(product.coefficients[:count]) == p
+
+
 class TestGeneratingFunction:
     def test_fibonacci_reexpansion(self):
-        s = fibonacci_series()
-        gf = generating_function(s)
-        assert gf.series_coefficients(10) == s.terms(10)
+        assert reexpands(fibonacci_series(), 10)
 
     def test_alternating_unit_closed_form(self):
-        gf = generating_function(alternating_power_series(0))
-        assert gf.numerator == Polynomial([1])
-        assert gf.denominator == Polynomial([1, 1])
+        p, q = generating_function(alternating_power_series(0))
+        assert p == Polynomial([1])
+        assert q == Polynomial([1, 1])
 
     def test_alternating_first_power_closed_form(self):
-        gf = generating_function(alternating_power_series(1))
-        assert gf.numerator == Polynomial([1])
-        assert gf.denominator == Polynomial([1, 2, 1])  # (1+x)^2
+        p, q = generating_function(alternating_power_series(1))
+        assert p == Polynomial([1])
+        assert q == Polynomial([1, 2, 1])  # (1+x)^2
 
     def test_reexpansion_over_corpus(self):
         corpus = [
@@ -100,7 +107,7 @@ class TestGeneratingFunction:
             poly_exp_series([1, 2, 1], F(5, 3)),
         ]
         for s in corpus:
-            assert generating_function(s).series_coefficients(25) == s.terms(25)
+            assert reexpands(s, 25)
 
 
 class TestAxiomaticSum:
@@ -130,6 +137,82 @@ class TestAxiomaticSum:
         diff = linear_combine(1, naturals, -1, naturals)
         assert all(t == 0 for t in diff.terms(10))
         assert axiomatic_sum(diff).value == 0
+
+
+def series_with(char, initial):
+    """Series whose recurrence has the monic characteristic polynomial char."""
+    d = char.degree
+    return CFiniteSeries([-char.coefficient(d - j) for j in range(1, d + 1)], initial)
+
+
+def verdict_corpus(rng, size):
+    """Recurrences (x - 1)^pole * R(x) * x^zeros, where R may have zero
+    coefficients and the x factors zero the trailing recurrence
+    coefficients.  Half the series take their initial terms from the
+    recurrence of R times fewer factors x - 1, so the missing factors
+    cancel between P and Q (the series is zero when that divisor is 1)."""
+    x_minus_1 = Polynomial([-1, 1])
+    corpus = []
+    for _ in range(size):
+        pole = rng.randint(0, 3)
+        other = Polynomial(
+            [F(rng.choice([-2, -1, 0, 0, 1, 3]), rng.choice([1, 2])) for _ in range(rng.randint(0, 2))]
+            + [1]
+        )
+        zeros = rng.randint(0, 2) or int(pole + other.degree == 0)
+        char = x_minus_1 ** pole * other * Polynomial([0, 1]) ** zeros
+        d = char.degree
+        if rng.random() < 0.5:
+            initial = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
+        else:
+            divisor = x_minus_1 ** rng.randint(0, max(pole - 1, 0)) * other
+            if divisor.degree == 0:
+                initial = [F(0)] * d
+            else:
+                seed = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(divisor.degree)]
+                initial = series_with(divisor, seed).terms(d)
+        corpus.append(series_with(char, initial))
+    return corpus
+
+
+class TestVerdictAtOne:
+    def test_alternating_sums_agree_by_three_routes(self):
+        for k in [*range(41), 50, 75, 100, 150, 199, 200]:
+            assert axiomatic_sum(alternating_power_series(k)).value == \
+                recursive_alternating_sum(k) == weighted_bernoulli(k)
+
+    def test_matches_sympy_reduction(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def expr(poly):
+            return sum(
+                (sympy.Rational(c.numerator, c.denominator) * x ** i
+                 for i, c in enumerate(poly.coefficients)),
+                sympy.Integer(0),
+            )
+
+        poles, removable, eventually_zero, zero_sums = set(), 0, 0, 0
+        for s in verdict_corpus(random.Random(41), 150):
+            p, q = generating_function(s)
+            num, den = sympy.fraction(sympy.cancel(expr(p) / expr(q)))
+            den = sympy.Poly(den, x)
+            order = 0
+            while den.eval(1) == 0:
+                den = den.quo(sympy.Poly(x - 1, x))
+                order += 1
+            outcome = axiomatic_sum(s)
+            if order:
+                assert outcome.pole_order == order
+                poles.add(order)
+                continue
+            value = num.subs(x, 1) / den.eval(1)
+            assert outcome.value == F(int(value.p), int(value.q))
+            removable += q.evaluate(1) == 0
+            eventually_zero += not any(s.recurrence)
+            zero_sums += value == 0
+        assert {1, 2, 3} <= poles
+        assert min(removable, eventually_zero, zero_sums) > 0
 
 
 class TestOutcome:

@@ -8,8 +8,6 @@ from divsum.rationals import (
     factorial,
     format_rational,
     parse_rational,
-    pow_rational,
-    rational_arith,
 )
 
 
@@ -68,34 +66,6 @@ class TestFactorial:
 
 
 class TestRationalArith:
-    def test_add(self):
-        assert rational_arith(Fraction(1, 6), Fraction(-1, 2), "add") == Fraction(-1, 3)
-
-    def test_mul(self):
-        assert rational_arith(Fraction(3, 2), Fraction(1, 6), "mul") == Fraction(1, 4)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rational_arith(Fraction(1), Fraction(0), "div")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            rational_arith(1, 2, "pow")
-
-    def test_results_are_canonical(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            a = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
-            b = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
-            for op in ("add", "sub", "mul", "div"):
-                if op == "div" and b == 0:
-                    continue
-                r = rational_arith(a, b, op)
-                from math import gcd
-
-                assert gcd(abs(r.numerator), r.denominator) == 1
-                assert r.denominator > 0
-
     def test_field_axioms_spot_check(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -105,18 +75,6 @@ class TestRationalArith:
             assert (a + b) + c == a + (b + c)
             assert a * (b + c) == a * b + a * c
             assert a + b == b + a
-
-
-class TestPowRational:
-    def test_values(self):
-        assert pow_rational(Fraction(1, 2), 3) == Fraction(1, 8)
-        assert pow_rational(Fraction(-2), 5) == -32
-        assert pow_rational(Fraction(7, 3), 0) == 1
-        assert pow_rational(Fraction(2, 3), -2) == Fraction(9, 4)
-
-    def test_zero_to_negative_power(self):
-        with pytest.raises(ZeroDivisionError):
-            pow_rational(Fraction(0), -1)
 
 
 class TestStringForm:

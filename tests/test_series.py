@@ -119,7 +119,8 @@ class TestSymmetrisedExpRatio:
         base = known_series("expm1_over_z", n).reciprocal()
         symmetrised = known_series("exp", n) + TruncatedSeries.one(n)
         built = TruncatedSeries([F(1, 2)] + [F(0)] * n) * symmetrised * base
-        assert built == base.even_part()
+        even_part = [c if k % 2 == 0 else 0 for k, c in enumerate(base.coefficients)]
+        assert built == TruncatedSeries(even_part)
 
 
 class TestRendering:
