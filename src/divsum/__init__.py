@@ -43,12 +43,6 @@ from .parsing import (
     parse_series,
 )
 from .polynomials import Polynomial
-from .rationals import (
-    binomial,
-    factorial,
-    format_rational,
-    parse_rational,
-)
 from .sequences import (
     BernoulliTable,
     EulerTable,

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .cfinite import CFiniteSeries, axiomatic_sum, characteristic_polynomial
-from .rationals import format_rational
 
 __all__ = [
     "AbelConfig",
@@ -95,7 +94,7 @@ class ComparisonReport:
 
     def to_json(self) -> dict:
         return {
-            "exact": format_rational(self.exact),
+            "exact": str(self.exact),
             "estimate": self.estimate,
             "abs_error": self.abs_error,
             "pass": self.passed,

@@ -18,10 +18,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import comb
 from typing import Iterable, Iterator, Optional
 
-from .polynomials import Polynomial
-from .rationals import binomial, format_rational
+from .polynomials import Polynomial, cauchy_product
 
 __all__ = [
     "CFiniteSeries",
@@ -106,14 +106,14 @@ class CFiniteSeries:
         return hash((self._recurrence, self._initial))
 
     def __repr__(self) -> str:
-        rec = ", ".join(map(format_rational, self._recurrence))
-        init = ", ".join(map(format_rational, self._initial))
+        rec = ", ".join(map(str, self._recurrence))
+        init = ", ".join(map(str, self._initial))
         return f"CFiniteSeries(recurrence=[{rec}], initial=[{init}])"
 
     def to_json(self) -> dict:
         return {
-            "recurrence": [format_rational(c) for c in self._recurrence],
-            "initial": [format_rational(a) for a in self._initial],
+            "recurrence": [str(c) for c in self._recurrence],
+            "initial": [str(a) for a in self._initial],
         }
 
 
@@ -144,7 +144,7 @@ class SummationOutcome:
 
     def to_json(self) -> dict:
         if self.is_summable:
-            return {"sum": format_rational(self.value)}
+            return {"sum": str(self.value)}
         return {"not_summable": {"pole_order": self.pole_order}}
 
 
@@ -164,7 +164,7 @@ def poly_exp_series(polynomial, ratio) -> CFiniteSeries:
     if ratio == 0:
         raise ValueError("ratio must be nonzero")
     d = polynomial.degree + 1
-    recurrence = [-binomial(d, j) * (-ratio) ** j for j in range(1, d + 1)]
+    recurrence = [-comb(d, j) * (-ratio) ** j for j in range(1, d + 1)]
     closed = [polynomial.evaluate(n) * ratio ** n for n in range(d + 5)]
     series = CFiniteSeries(recurrence, closed[:d])
     if series.terms(d + 5) != closed:
@@ -176,7 +176,7 @@ def alternating_power_series(k: int) -> CFiniteSeries:
     """The series 1^k - 2^k + 3^k - 4^k + ... (terms (n+1)^k * (-1)^n)."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    p = Polynomial([binomial(k, j) for j in range(k + 1)])  # (n + 1)^k
+    p = Polynomial([comb(k, j) for j in range(k + 1)])  # (n + 1)^k
     return poly_exp_series(p, Fraction(-1))
 
 
@@ -184,7 +184,7 @@ def odd_alternating_series(k: int) -> CFiniteSeries:
     """The series 1^k - 3^k + 5^k - ... (terms (2n+1)^k * (-1)^n)."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    p = Polynomial([binomial(k, j) * 2 ** j for j in range(k + 1)])  # (2n + 1)^k
+    p = Polynomial([comb(k, j) * 2 ** j for j in range(k + 1)])  # (2n + 1)^k
     return poly_exp_series(p, Fraction(-1))
 
 
@@ -240,10 +240,9 @@ def generating_function(series: CFiniteSeries) -> tuple[Polynomial, Polynomial]:
     initial-term polynomial, truncated below degree d.  Common factors of
     P and Q are left in place.
     """
-    d = series.order
     q = Polynomial([Fraction(1)] + [-c for c in series.recurrence])
-    product = q * Polynomial(series.initial)
-    return Polynomial(product.coefficients[:d]), q
+    p = Polynomial(cauchy_product(q.coefficients, series.initial, series.order))
+    return p, q
 
 
 def _order_at_one(p: Polynomial) -> tuple[int, Fraction]:
@@ -255,7 +254,7 @@ def _order_at_one(p: Polynomial) -> tuple[int, Fraction]:
     """
     a = p.coefficients
     for j in range(len(a)):
-        c = sum(binomial(i, j) * a[i] for i in range(j, len(a)))
+        c = sum(comb(i, j) * a[i] for i in range(j, len(a)))
         if c:
             return j, c
 
@@ -293,6 +292,6 @@ def recursive_alternating_sum(k: int) -> Fraction:
     for m in range(1, k + 1):
         acc = Fraction(1, 2)
         for j in range(1, m):
-            acc -= binomial(m, j) * values[j]
+            acc -= comb(m, j) * values[j]
         values.append(acc / 2)
     return values[k]

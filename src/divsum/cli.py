@@ -10,8 +10,9 @@ Subcommands::
 
 Every subcommand accepts ``--format plain|json|csv`` plus ``--max-terms``
 and ``--grid-levels`` for the numeric paths.  Output is bit-stable: JSON
-keys are sorted, CSV carries a header row, rationals print as canonical
-``p/q`` strings.  Exit codes: 0 success, 1 identity violation, numeric
+keys are sorted, CSV carries a header row, and rationals print as
+``str(Fraction)`` does: ``p/q`` in lowest terms, or ``p`` alone when the
+denominator is 1.  Exit codes: 0 success, 1 identity violation, numeric
 comparison failure or non-summable input, 2 usage or parse errors.
 """
 
@@ -23,6 +24,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .abel import (
     AbelConfig,
@@ -37,7 +39,6 @@ from .cfinite import (
     axiomatic_sum,
 )
 from .parsing import ArityMismatchError, ExpressionSyntaxError, parse_series
-from .rationals import format_rational, parse_rational
 from .sequences import (
     BERNOULLI_METHODS,
     EULER_METHODS,
@@ -116,9 +117,9 @@ def _abel_config(args) -> AbelConfig:
 def _handle_bernoulli(args):
     table = bernoulli_table(args.n, args.method)
     if args.table:
-        rows = [[str(n), format_rational(v)] for n, v in enumerate(table.values)]
+        rows = [[str(n), str(v)] for n, v in enumerate(table.values)]
         return 0, Table(["n", "B_n"], rows)
-    value = format_rational(table.values[args.n])
+    value = str(table.values[args.n])
     record = Record(
         {"n": args.n, "method": args.method, "value": value}, plain=value
     )
@@ -173,7 +174,7 @@ def _handle_verify(args):
         if args.identity == "eq4":
             report = verify_weighted_recursion(k)
         elif args.identity == "prop2":
-            a = parse_rational(args.a)
+            a = Fraction(args.a)
             if a.denominator != 1 or a < 1:
                 raise ValueError("prop2 requires a positive integer --a")
             report = verify_peeled_recursion(int(a), k)
@@ -183,7 +184,7 @@ def _handle_verify(args):
             report = verify_even_doubling(k)
         else:
             report = verify_affine_relation(
-                parse_rational(args.a), parse_rational(args.q), k
+                Fraction(args.a), Fraction(args.q), k
             )
     except IdentityViolation as exc:
         fields = exc.report.to_json()

@@ -21,7 +21,6 @@ from typing import Union
 
 from .cfinite import CFiniteSeries, poly_exp_series
 from .polynomials import Polynomial
-from .rationals import format_rational
 
 __all__ = [
     "ArityMismatchError",
@@ -61,7 +60,7 @@ class PolynomialGeometric:
         return poly_exp_series(self.polynomial, self.ratio)
 
     def __str__(self) -> str:
-        return f"poly {_polynomial_text(self.polynomial)} ratio {format_rational(self.ratio)}"
+        return f"poly {_polynomial_text(self.polynomial)} ratio {self.ratio}"
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class ExplicitRecurrence:
                 continue
             ref = f"a(n-{lag})"
             if abs(c) != 1:
-                ref = f"{format_rational(abs(c))}*{ref}"
+                ref = f"{abs(c)}*{ref}"
             if not parts:
                 parts.append(ref if c > 0 else f"-{ref}")
             else:
@@ -89,7 +88,7 @@ class ExplicitRecurrence:
         if not parts:
             parts.append(f"0*a(n-{len(self.coefficients)})")
         rhs = " ".join(parts)
-        init = ", ".join(format_rational(a) for a in self.initial)
+        init = ", ".join(map(str, self.initial))
         return f"rec a(n)={rhs}; init {init}"
 
 
@@ -103,10 +102,10 @@ def _polynomial_text(poly: Polynomial) -> str:
         if c == 0:
             continue
         if k == 0:
-            body = format_rational(abs(c))
+            body = str(abs(c))
         else:
             var = "n" if k == 1 else f"n^{k}"
-            body = var if abs(c) == 1 else f"{format_rational(abs(c))}*{var}"
+            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:
@@ -173,7 +172,7 @@ class _Parser:
         tok = self.expect("int", label="an integer")
         return int(tok[1])
 
-    def parse_rational(self) -> Fraction:
+    def parse_fraction(self) -> Fraction:
         pos = self.peek()[2]
         numerator = self.parse_integer()
         if self.accept("/"):
@@ -184,13 +183,13 @@ class _Parser:
             return Fraction(numerator, denominator)
         return Fraction(numerator)
 
-    def parse_signed_rational(self) -> Fraction:
+    def parse_signed_fraction(self) -> Fraction:
         sign = 1
         if self.accept("-"):
             sign = -1
         elif self.accept("+"):
             pass
-        return sign * self.parse_rational()
+        return sign * self.parse_fraction()
 
     # polynomial := ['-'] term (('+'|'-') term)*
     def parse_polynomial(self) -> Polynomial:
@@ -231,7 +230,7 @@ class _Parser:
     def parse_poly_atom(self) -> Polynomial:
         kind, lexeme, _ = self.peek()
         if kind == "int":
-            return Polynomial.constant(self.parse_rational())
+            return Polynomial.constant(self.parse_fraction())
         if kind == "name" and lexeme == "n":
             self.advance()
             return Polynomial.identity()
@@ -246,7 +245,7 @@ class _Parser:
     def parse_recurrence_term(self) -> tuple:
         coefficient = Fraction(1)
         if self.peek()[0] == "int":
-            coefficient = self.parse_rational()
+            coefficient = self.parse_fraction()
             self.accept("*")
         self.expect("name", "a", label="'a'")
         self.expect("(")
@@ -282,9 +281,9 @@ class _Parser:
         coefficients = tuple(weights.get(j, Fraction(0)) for j in range(1, order + 1))
         self.expect(";")
         self.expect("name", "init", label="'init'")
-        initial = [self.parse_signed_rational()]
+        initial = [self.parse_signed_fraction()]
         while self.accept(","):
-            initial.append(self.parse_signed_rational())
+            initial.append(self.parse_signed_fraction())
         self.expect("end", label="end of input")
         if len(initial) != order:
             raise ArityMismatchError(
@@ -304,7 +303,7 @@ def parse_series(text: str) -> SeriesExpr:
         polynomial = parser.parse_polynomial()
         parser.expect("name", "ratio", label="'ratio'")
         ratio_pos = parser.peek()[2]
-        ratio = parser.parse_signed_rational()
+        ratio = parser.parse_signed_fraction()
         parser.expect("end", label="end of input")
         if polynomial.is_zero:
             raise ExpressionSyntaxError(poly_pos, ("a nonzero polynomial",), "0")

@@ -2,7 +2,8 @@
 
 Polynomials are coefficient lists, constant term first, with a nonzero
 leading coefficient; the zero polynomial is the empty list, so structural
-equality is value equality.
+equality is value equality.  :func:`cauchy_product` is the one product
+of coefficient sequences; truncated power series use it as well.
 """
 
 from __future__ import annotations
@@ -10,7 +11,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-__all__ = ["Polynomial"]
+__all__ = ["Polynomial", "cauchy_product"]
+
+
+def cauchy_product(a, b, n: int) -> list:
+    """Coefficients 0..n-1 of the product of the sequences a and b.
+
+    Zero factors are skipped, so sparse operands cost only their nonzero
+    terms; coefficients past either operand count as zero.
+    """
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
 
 
 class Polynomial:
@@ -82,16 +98,8 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return Polynomial(out)
+            a, b = self._coeffs, other._coeffs
+            return Polynomial(cauchy_product(a, b, len(a) + len(b) - 1))
         return Polynomial([c * Fraction(other) for c in self._coeffs])
 
     __rmul__ = __mul__

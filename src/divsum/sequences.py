@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
-from .rationals import binomial, factorial, format_rational
 from .series import TruncatedSeries, known_series
 
 __all__ = [
@@ -44,9 +44,6 @@ __all__ = [
     "weighted_bernoulli",
 ]
 
-BERNOULLI_METHODS = ("recurrence", "series", "garabedian")
-EULER_METHODS = ("recurrence", "series")
-
 
 class EvenIndexError(ValueError):
     """Tangent coefficients exist only at odd indices."""
@@ -63,7 +60,7 @@ class IdentityViolation(ArithmeticError):
         self.report = report
         super().__init__(
             f"{report.identity} violated at {report.params}: "
-            f"lhs={format_rational(report.lhs)} rhs={format_rational(report.rhs)}"
+            f"lhs={report.lhs} rhs={report.rhs}"
         )
 
 
@@ -79,8 +76,8 @@ class VerificationReport:
         return {
             "identity": self.identity,
             "params": dict(self.params),
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
             "holds": self.holds,
         }
 
@@ -130,7 +127,7 @@ def _bernoulli_recurrence(n_max: int) -> list:
         acc = Fraction(0)
         for k in range(m):
             if values[k]:
-                acc += binomial(m + 1, k) * values[k]
+                acc += comb(m + 1, k) * values[k]
         values.append(-acc / (m + 1))
     return values
 
@@ -156,7 +153,7 @@ def _bernoulli_garabedian(n_max: int) -> list:
         for k in range(1, n + 2):
             inner = 0
             for j in range(k):
-                inner += (-1) ** j * binomial(k - 1, j) * powers[j]
+                inner += (-1) ** j * comb(k - 1, j) * powers[j]
             total += Fraction(inner, 2 ** k)
         values.append(Fraction(m, 2 ** m - 1) * total)
     return values
@@ -167,20 +164,25 @@ _BERNOULLI_BUILDERS = {
     "series": _bernoulli_series,
     "garabedian": _bernoulli_garabedian,
 }
+BERNOULLI_METHODS = tuple(_BERNOULLI_BUILDERS)
+
+
+def _table(builders, cls, n_max, method):
+    try:
+        builder = builders[method]
+    except KeyError:
+        raise ValueError(
+            f"unknown method {method!r}; choose from {tuple(builders)}"
+        ) from None
+    if n_max < 0:
+        raise ValueError("table size must be nonnegative")
+    return cls(tuple(builder(n_max)), method)
 
 
 @lru_cache(maxsize=None)
 def bernoulli_table(n_max: int, method: str = "recurrence") -> BernoulliTable:
     """B_0..B_{n_max} computed by the named method, in one forward pass."""
-    try:
-        builder = _BERNOULLI_BUILDERS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown method {method!r}; choose from {BERNOULLI_METHODS}"
-        ) from None
-    if n_max < 0:
-        raise ValueError("table size must be nonnegative")
-    return BernoulliTable(tuple(builder(n_max)), method)
+    return _table(_BERNOULLI_BUILDERS, BernoulliTable, n_max, method)
 
 
 def bernoulli(n: int, method: str = "recurrence") -> Fraction:
@@ -194,7 +196,7 @@ def _euler_recurrence(n_max: int) -> list:
     for n in range(1, n_max // 2 + 1):
         acc = 0
         for k in range(n):
-            acc += binomial(2 * n, 2 * k) * (-1) ** k * even[k]
+            acc += comb(2 * n, 2 * k) * (-1) ** k * even[k]
         even.append((-1) ** (n + 1) * acc)
     values = [0] * (n_max + 1)
     for k, e in enumerate(even):
@@ -217,20 +219,13 @@ def _euler_series(n_max: int) -> list:
 
 
 _EULER_BUILDERS = {"recurrence": _euler_recurrence, "series": _euler_series}
+EULER_METHODS = tuple(_EULER_BUILDERS)
 
 
 @lru_cache(maxsize=None)
 def euler_table(n_max: int, method: str = "recurrence") -> EulerTable:
     """E_0..E_{n_max} computed by the named method."""
-    try:
-        builder = _EULER_BUILDERS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown method {method!r}; choose from {EULER_METHODS}"
-        ) from None
-    if n_max < 0:
-        raise ValueError("table size must be nonnegative")
-    return EulerTable(tuple(builder(n_max)), method)
+    return _table(_EULER_BUILDERS, EulerTable, n_max, method)
 
 
 def euler(n: int, method: str = "recurrence") -> int:
@@ -321,7 +316,7 @@ def verify_weighted_recursion(k: int) -> VerificationReport:
     lhs = weighted_bernoulli(k)
     rhs = Fraction(1, 2)
     for l in range(1, k + 1):
-        rhs -= binomial(k, l) * weighted_bernoulli(l)
+        rhs -= comb(k, l) * weighted_bernoulli(l)
     return _checked("eq4", {"k": k}, lhs, rhs)
 
 
@@ -340,7 +335,7 @@ def verify_peeled_recursion(a: int, k: int) -> VerificationReport:
     rhs += Fraction((-1) ** a * a ** k, 2)
     tail = Fraction(0)
     for j in range(1, k + 1):
-        tail += binomial(k, j) * a ** (k - j) * weighted_bernoulli(j)
+        tail += comb(k, j) * a ** (k - j) * weighted_bernoulli(j)
     rhs += (-1) ** a * tail
     return _checked("prop2", {"a": a, "k": k}, lhs, rhs)
 
@@ -355,7 +350,7 @@ def verify_odd_split(k: int) -> VerificationReport:
         raise ValueError("index must be positive")
     lhs = Fraction(0)
     for j in range(1, k + 1):
-        lhs += binomial(k, j) * 2 ** j * weighted_bernoulli(j)
+        lhs += comb(k, j) * 2 ** j * weighted_bernoulli(j)
     rhs = Fraction(1, 2) - odd_alternating_value(k)
     return _checked("eq6", {"k": k}, lhs, rhs)
 
@@ -372,7 +367,7 @@ def verify_even_doubling(k: int) -> VerificationReport:
     lhs = 2 ** (k + 1) * weighted_bernoulli(k)
     rhs = Fraction(0)
     for j in range(k + 1):
-        rhs += binomial(k, j) * (-1) ** (j // 2) * euler(j)
+        rhs += comb(k, j) * (-1) ** (j // 2) * euler(j)
     return _checked("eq7", {"k": k}, lhs, rhs)
 
 
@@ -389,17 +384,17 @@ def verify_affine_relation(a, q, k: int) -> VerificationReport:
         raise ValueError("index must be positive")
     lhs = q ** k / 2
     for j in range(1, k + 1):
-        lhs -= binomial(k, j) * q ** (k - j) * a ** j * weighted_bernoulli(j)
+        lhs -= comb(k, j) * q ** (k - j) * a ** j * weighted_bernoulli(j)
     rhs = Fraction(0)
     half_a = a / 2
     for j in range(k + 1):
         rhs += (
-            binomial(k, j)
+            comb(k, j)
             * (half_a - q) ** (k - j)
             * half_a ** j
             * (-1) ** (j // 2)
             * euler(j)
         )
     rhs *= Fraction((-1) ** k, 2)
-    params = {"a": format_rational(a), "q": format_rational(q), "k": k}
+    params = {"a": str(a), "q": str(q), "k": k}
     return _checked("mixed", params, lhs, rhs)

@@ -9,9 +9,10 @@ Fractions, so equality of series is exact equality of coefficient lists.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Iterable
 
-from .rationals import factorial, format_rational
+from .polynomials import cauchy_product
 
 __all__ = [
     "NonInvertibleSeriesError",
@@ -97,16 +98,8 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated to the smaller order."""
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self._coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other._coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
+        n = min(self.order, other.order) + 1
+        return TruncatedSeries(cauchy_product(self._coeffs, other._coeffs, n))
 
     def reciprocal(self) -> "TruncatedSeries":
         """Series g with self * g = 1 + O(z^(N+1)).
@@ -140,18 +133,18 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def __str__(self) -> str:
-        parts = [format_rational(self._coeffs[0])]
+        parts = [str(self._coeffs[0])]
         for k, c in enumerate(self._coeffs[1:], start=1):
             var = "z" if k == 1 else f"z^{k}"
-            parts.append(f"{format_rational(c)}*{var}")
+            parts.append(f"{c}*{var}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries([{', '.join(map(format_rational, self._coeffs))}])"
+        return f"TruncatedSeries([{', '.join(map(str, self._coeffs))}])"
 
     def to_json(self) -> list:
         """Ordered list of canonical rational strings c_0..c_N."""
-        return [format_rational(c) for c in self._coeffs]
+        return [str(c) for c in self._coeffs]
 
 
 def _exp_coefficient(k: int) -> Fraction:

@@ -178,6 +178,19 @@ class TestUsage:
         code, _, _ = run(capsys, "frobnicate", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "mixed", "--k", "2", "--q", "half"], "Invalid literal for Fraction: 'half'"),
+        (["verify", "mixed", "--k", "2", "--q=1/0"], "Fraction(1, 0)"),
+        (["verify", "prop2", "--k", "2", "--a", "x"], "Invalid literal for Fraction: 'x'"),
+        (["verify", "mixed", "--k", "2", "--a", "0"], "parameter a must be positive"),
+        (["bernoulli", "-1"], "table size must be nonnegative"),
+        (["euler", "-2", "--method", "series"], "table size must be nonnegative"),
+        (["verify", "eq4", "--k", "0"], "index must be positive"),
+    ])
+    def test_error_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_csv_record_output(self, capsys):
         code, out, _ = run(capsys, "sigma", "1", "--format", "csv")
         lines = out.splitlines()

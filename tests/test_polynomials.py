@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from divsum.polynomials import Polynomial
+from divsum.polynomials import Polynomial, cauchy_product
 
 F = Fraction
 
@@ -14,11 +14,16 @@ class TestPolynomial:
         assert zero.is_zero
         assert zero.degree == -1
         assert not zero
+        for other in (zero, Polynomial([1, 2])):
+            assert (zero * other).is_zero
+            assert (other * zero).is_zero
+        assert cauchy_product((), (F(1), F(2)), 3) == [0, 0, 0]
 
     def test_square_of_binomial(self):
         p = Polynomial([1, 1])  # 1 + x
         assert (p * p).coefficients == (F(1), F(2), F(1))
         assert (p ** 3).coefficients == (F(1), F(3), F(3), F(1))
+        assert cauchy_product(p.coefficients, (p ** 3).coefficients, 3) == [1, 4, 6]
 
     def test_scalar_multiplication(self):
         p = Polynomial([1, 2])
