@@ -1,14 +1,19 @@
+"""Exact rational arithmetic as divsum does it.
+
+Binomial rows come from polynomial powers, factorial reciprocals from the
+exponential series, and rationals are read by the series parser and
+printed by the CLI in the canonical ``p/q`` or ``p`` form.
+"""
+
 import random
 from fractions import Fraction
 
 import pytest
 
-from divsum.rationals import (
-    binomial,
-    factorial,
-    format_rational,
-    parse_rational,
-)
+from divsum.cli import run_command
+from divsum.parsing import parse_series
+from divsum.polynomials import Polynomial, cauchy_product
+from divsum.series import TruncatedSeries, known_series
 
 
 def binomial_product_oracle(n, k):
@@ -27,42 +32,52 @@ def factorial_product_oracle(n):
     return acc
 
 
+def binomial_row(n):
+    """Coefficients of (1 + x)^n."""
+    return (Polynomial([1, 1]) ** n).coefficient
+
+
 class TestBinomial:
     def test_small_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 0) == 1
-        assert binomial(6, 6) == 1
+        assert binomial_row(5)(2) == 10
+        assert binomial_row(7)(0) == 1
+        assert binomial_row(6)(6) == 1
 
     def test_k_beyond_n_is_zero(self):
-        assert binomial(3, 5) == 0
-        assert binomial(0, 1) == 0
+        assert binomial_row(3)(5) == 0
+        assert binomial_row(0)(1) == 0
 
     def test_against_product_oracle(self):
-        assert binomial(60, 30) == binomial_product_oracle(60, 30)
-        assert binomial(41, 7) == binomial_product_oracle(41, 7)
+        assert binomial_row(60)(30) == binomial_product_oracle(60, 30)
+        assert binomial_row(41)(7) == binomial_product_oracle(41, 7)
 
     def test_pascal_rule(self):
-        for n in range(2, 26):
+        prev = [Fraction(1)]
+        for n in range(1, 26):
+            row = cauchy_product(prev, [1, 1], n + 1)
+            assert Polynomial(row) == Polynomial([1, 1]) ** n
             for k in range(1, n):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+                assert row[k] == prev[k - 1] + prev[k]
+            prev = row
 
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError):
-            binomial(-1, 0)
+            Polynomial([1, 1]) ** -1
         with pytest.raises(ValueError):
-            binomial(4, -2)
+            TruncatedSeries.monomial(4, -2)
 
 
 class TestFactorial:
     def test_values(self):
-        assert factorial(0) == 1
-        assert factorial(5) == 120
-        assert factorial(20) == factorial_product_oracle(20)
-        assert factorial(20) == 2432902008176640000
+        exp = known_series("exp", 20)
+        assert 1 / exp.coefficient(0) == 1
+        assert 1 / exp.coefficient(5) == 120
+        assert 1 / exp.coefficient(20) == factorial_product_oracle(20)
+        assert 1 / exp.coefficient(20) == 2432902008176640000
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            factorial(-3)
+            known_series("exp", -3)
 
 
 class TestRationalArith:
@@ -70,24 +85,37 @@ class TestRationalArith:
         rng = random.Random(11)
         for _ in range(100):
             a, b, c = (
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)
+                Polynomial(
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                    for _ in range(rng.randint(0, 4))
+                )
+                for _ in range(3)
             )
             assert (a + b) + c == a + (b + c)
+            assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
             assert a + b == b + a
+            assert a * b == b * a
 
 
 class TestStringForm:
-    def test_canonical_strings(self):
-        assert format_rational(Fraction(2, 4)) == "1/2"
-        assert format_rational(Fraction(-1, 2)) == "-1/2"
-        assert format_rational(Fraction(5)) == "5"
-        assert format_rational(Fraction(0)) == "0"
+    def test_canonical_strings(self, capsys):
+        for argv, text in (
+            (["bernoulli", "1"], "-1/2"),
+            (["bernoulli", "2"], "1/6"),
+            (["bernoulli", "3"], "0"),
+            (["euler", "4"], "5"),
+            (["sum", "rec a(n)=-3*a(n-1); init 2/4"], "1/8"),
+        ):
+            assert run_command(argv) == 0
+            assert capsys.readouterr().out == f"{text}\n"
 
     def test_parse_round_trip(self):
         for text in ("1/2", "-7/3", "42", "0", "-5"):
-            assert format_rational(parse_rational(text)) == text
+            expr = f"rec a(n)=2*a(n-1); init {text}"
+            assert str(parse_series(expr)) == expr
+        assert str(parse_series("rec a(n)=2*a(n-1); init  6 / 4 ")).endswith("init 3/2")
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
-            parse_rational("one half")
+            parse_series("rec a(n)=2*a(n-1); init one half")
