@@ -31,7 +31,7 @@ from .abel import (
     DivergentGridError,
     NonconvergenceError,
     NotSummableInputError,
-    compare_exact,
+    _compare,
 )
 from .cfinite import (
     ZeroPolynomialError,
@@ -147,7 +147,7 @@ def _summation_payload(series, args):
     plain = fields["sum"]
     code = 0
     if args.numeric:
-        report = compare_exact(series, _abel_config(args))
+        report = _compare(series, outcome.value, _abel_config(args))
         fields["numeric"] = report.to_json()
         verdict = "pass" if report.passed else "FAIL"
         plain += (
@@ -168,24 +168,25 @@ def _handle_sum(args):
     return _summation_payload(series, args)
 
 
+def _peeled(args):
+    a = Fraction(args.a)
+    if a.denominator != 1 or a < 1:
+        raise ValueError("prop2 requires a positive integer --a")
+    return verify_peeled_recursion(int(a), args.k)
+
+
+_VERIFIERS = {
+    "eq4": lambda args: verify_weighted_recursion(args.k),
+    "prop2": _peeled,
+    "eq6": lambda args: verify_odd_split(args.k),
+    "eq7": lambda args: verify_even_doubling(args.k),
+    "mixed": lambda args: verify_affine_relation(Fraction(args.a), Fraction(args.q), args.k),
+}
+
+
 def _handle_verify(args):
-    k = args.k
     try:
-        if args.identity == "eq4":
-            report = verify_weighted_recursion(k)
-        elif args.identity == "prop2":
-            a = Fraction(args.a)
-            if a.denominator != 1 or a < 1:
-                raise ValueError("prop2 requires a positive integer --a")
-            report = verify_peeled_recursion(int(a), k)
-        elif args.identity == "eq6":
-            report = verify_odd_split(k)
-        elif args.identity == "eq7":
-            report = verify_even_doubling(k)
-        else:
-            report = verify_affine_relation(
-                Fraction(args.a), Fraction(args.q), k
-            )
+        report = _VERIFIERS[args.identity](args)
     except IdentityViolation as exc:
         fields = exc.report.to_json()
         plain = (
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also cross-check against the numeric limit")
 
     p = sub.add_parser("verify", parents=[common], help="check an exact identity")
-    p.add_argument("identity", choices=("eq4", "prop2", "eq6", "eq7", "mixed"))
+    p.add_argument("identity", choices=tuple(_VERIFIERS))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", default="1", help="rational parameter (default 1)")
     p.add_argument("--q", default="1", help="rational parameter (default 1)")

@@ -145,17 +145,17 @@ def _bernoulli_series(n_max: int) -> list:
 def _bernoulli_garabedian(n_max: int) -> list:
     # Explicit double sum for B_{n+1}, n >= 1, from transforming the
     # alternating power sums; B_0 and B_1 come from the defining recurrence.
+    # The inner sum sum_j (-1)^j C(k-1, j) (j+1)^n is (-1)^(k-1) times the
+    # (k-1)-th forward difference of (j+1)^n at 0; differencing the powers in
+    # place as d[i] <- d[i-1] - d[i] leaves it in d[k-1], sign included.
     values = [Fraction(1), Fraction(-1, 2)][: n_max + 1]
     for m in range(2, n_max + 1):
         n = m - 1
-        powers = [(j + 1) ** n for j in range(n + 1)]
-        total = Fraction(0)
-        for k in range(1, n + 2):
-            inner = 0
-            for j in range(k):
-                inner += (-1) ** j * comb(k - 1, j) * powers[j]
-            total += Fraction(inner, 2 ** k)
-        values.append(Fraction(m, 2 ** m - 1) * total)
+        d = [(j + 1) ** n for j in range(n + 1)]
+        for s in range(1, n + 1):
+            d[s:] = [prev - cur for prev, cur in zip(d[s - 1:], d[s:])]
+        total = sum(inner << (n - i) for i, inner in enumerate(d))  # over 2^(n+1)
+        values.append(Fraction(m * total, (2 ** m - 1) * 2 ** m))
     return values
 
 
@@ -186,7 +186,11 @@ def bernoulli_table(n_max: int, method: str = "recurrence") -> BernoulliTable:
 
 
 def bernoulli(n: int, method: str = "recurrence") -> Fraction:
-    """The Bernoulli number B_n, exactly."""
+    """The Bernoulli number B_n, exactly.
+
+    Each call builds the whole table B_0..B_n; for many indices, read
+    ``bernoulli_table(n).values`` once.
+    """
     return bernoulli_table(n, method).values[n]
 
 
@@ -229,8 +233,20 @@ def euler_table(n_max: int, method: str = "recurrence") -> EulerTable:
 
 
 def euler(n: int, method: str = "recurrence") -> int:
-    """The Euler number E_n (0 at odd indices), exactly."""
+    """The Euler number E_n (0 at odd indices), exactly.
+
+    Each call builds the whole table E_0..E_n; for many indices, read
+    ``euler_table(n).values`` once.
+    """
     return euler_table(n, method).values[n]
+
+
+def _weighted_values(k: int) -> list:
+    # [T(0), ..., T(k)] read from the one table B_0..B_{k+1}.
+    b = bernoulli_table(k + 1).values
+    return [Fraction(1, 2)] + [
+        Fraction(2 ** (j + 1) - 1, j + 1) * b[j + 1] for j in range(1, k + 1)
+    ]
 
 
 def weighted_bernoulli(k: int) -> Fraction:
@@ -241,9 +257,7 @@ def weighted_bernoulli(k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    if k == 0:
-        return Fraction(1, 2)
-    return Fraction(2 ** (k + 1) - 1, k + 1) * bernoulli(k + 1)
+    return _weighted_values(k)[k]
 
 
 def odd_alternating_value(k: int) -> Fraction:
@@ -313,11 +327,11 @@ def verify_weighted_recursion(k: int) -> VerificationReport:
     """Check T(k) = 1/2 - sum_{l=1}^{k} C(k, l) T(l), exactly."""
     if k < 1:
         raise ValueError("index must be positive")
-    lhs = weighted_bernoulli(k)
+    t = _weighted_values(k)
     rhs = Fraction(1, 2)
     for l in range(1, k + 1):
-        rhs -= comb(k, l) * weighted_bernoulli(l)
-    return _checked("eq4", {"k": k}, lhs, rhs)
+        rhs -= comb(k, l) * t[l]
+    return _checked("eq4", {"k": k}, t[k], rhs)
 
 
 def verify_peeled_recursion(a: int, k: int) -> VerificationReport:
@@ -328,16 +342,16 @@ def verify_peeled_recursion(a: int, k: int) -> VerificationReport:
     """
     if a < 1 or k < 1:
         raise ValueError("both parameters must be positive integers")
-    lhs = weighted_bernoulli(k)
+    t = _weighted_values(k)
     rhs = Fraction(0)
     for n in range(a):
         rhs += Fraction((-1) ** n * (n + 1) ** k)
     rhs += Fraction((-1) ** a * a ** k, 2)
     tail = Fraction(0)
     for j in range(1, k + 1):
-        tail += comb(k, j) * a ** (k - j) * weighted_bernoulli(j)
+        tail += comb(k, j) * a ** (k - j) * t[j]
     rhs += (-1) ** a * tail
-    return _checked("prop2", {"a": a, "k": k}, lhs, rhs)
+    return _checked("prop2", {"a": a, "k": k}, t[k], rhs)
 
 
 def verify_odd_split(k: int) -> VerificationReport:
@@ -348,9 +362,10 @@ def verify_odd_split(k: int) -> VerificationReport:
     """
     if k < 1:
         raise ValueError("index must be positive")
+    t = _weighted_values(k)
     lhs = Fraction(0)
     for j in range(1, k + 1):
-        lhs += comb(k, j) * 2 ** j * weighted_bernoulli(j)
+        lhs += comb(k, j) * 2 ** j * t[j]
     rhs = Fraction(1, 2) - odd_alternating_value(k)
     return _checked("eq6", {"k": k}, lhs, rhs)
 
@@ -364,10 +379,11 @@ def verify_even_doubling(k: int) -> VerificationReport:
     """
     if k < 1:
         raise ValueError("index must be positive")
-    lhs = 2 ** (k + 1) * weighted_bernoulli(k)
+    lhs = 2 ** (k + 1) * _weighted_values(k)[k]
+    e = euler_table(k).values
     rhs = Fraction(0)
     for j in range(k + 1):
-        rhs += comb(k, j) * (-1) ** (j // 2) * euler(j)
+        rhs += comb(k, j) * (-1) ** (j // 2) * e[j]
     return _checked("eq7", {"k": k}, lhs, rhs)
 
 
@@ -382,9 +398,11 @@ def verify_affine_relation(a, q, k: int) -> VerificationReport:
         raise ValueError("parameter a must be positive")
     if k < 1:
         raise ValueError("index must be positive")
+    t = _weighted_values(k)
     lhs = q ** k / 2
     for j in range(1, k + 1):
-        lhs -= comb(k, j) * q ** (k - j) * a ** j * weighted_bernoulli(j)
+        lhs -= comb(k, j) * q ** (k - j) * a ** j * t[j]
+    e = euler_table(k).values
     rhs = Fraction(0)
     half_a = a / 2
     for j in range(k + 1):
@@ -393,7 +411,7 @@ def verify_affine_relation(a, q, k: int) -> VerificationReport:
             * (half_a - q) ** (k - j)
             * half_a ** j
             * (-1) ** (j // 2)
-            * euler(j)
+            * e[j]
         )
     rhs *= Fraction((-1) ** k, 2)
     params = {"a": str(a), "q": str(q), "k": k}

@@ -191,6 +191,25 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    # argparse wraps its usage text to COLUMNS, so the width is pinned.
+    @pytest.mark.parametrize("argv, stderr", [
+        (["sigma"],
+         "usage: divsum sigma [-h] [--format {plain,json,csv}] [--max-terms N]\n"
+         "                    [--grid-levels J] [--numeric]\n"
+         "                    k\n"
+         "divsum sigma: error: the following arguments are required: k\n"),
+        (["verify", "eq9", "--k", "1"],
+         "usage: divsum verify [-h] [--format {plain,json,csv}] [--max-terms N]\n"
+         "                     [--grid-levels J] --k K [--a A] [--q Q]\n"
+         "                     {eq4,prop2,eq6,eq7,mixed}\n"
+         "divsum verify: error: argument identity: invalid choice: 'eq9' "
+         "(choose from 'eq4', 'prop2', 'eq6', 'eq7', 'mixed')\n"),
+    ])
+    def test_usage_error(self, capsys, monkeypatch, argv, stderr):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", stderr)
+
     def test_csv_record_output(self, capsys):
         code, out, _ = run(capsys, "sigma", "1", "--format", "csv")
         lines = out.splitlines()

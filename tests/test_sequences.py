@@ -10,6 +10,7 @@ from divsum.sequences import (
     IdentityViolation,
     OddIndexError,
     _checked,
+    _weighted_values,
     bernoulli,
     bernoulli_generating_series,
     bernoulli_table,
@@ -33,6 +34,16 @@ from divsum.series import TruncatedSeries, known_series
 F = Fraction
 
 
+# The five identity checks, each as a function of the index k alone.
+IDENTITY_CHECKS = {
+    "eq4": verify_weighted_recursion,
+    "prop2": lambda k: verify_peeled_recursion(3, k),
+    "eq6": verify_odd_split,
+    "eq7": verify_even_doubling,
+    "mixed": lambda k: verify_affine_relation(3, F(1, 2), k),
+}
+
+
 class TestBernoulli:
     def test_anchor_values(self):
         assert bernoulli(0) == 1
@@ -46,6 +57,9 @@ class TestBernoulli:
     def test_methods_agree_with_recurrence(self, method):
         reference = bernoulli_table(24, "recurrence").values
         assert bernoulli_table(24, method).values == reference
+
+    def test_garabedian_agrees_at_160(self):
+        assert bernoulli_table(160, "garabedian").values == bernoulli_table(160).values
 
     def test_odd_indices_vanish(self):
         table = bernoulli_table(25).values
@@ -96,6 +110,21 @@ class TestWeightedValues:
         assert weighted_bernoulli(3) == F(-1, 8)
         with pytest.raises(ValueError):
             weighted_bernoulli(-1)
+
+    def test_weighted_bernoulli_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+
+        def oracle_b(n):
+            # sympy >= 1.12 takes B_1 = +1/2; this package takes B_1 = -1/2.
+            b = sympy.bernoulli(n)
+            return F(-1, 2) if n == 1 else F(int(b.p), int(b.q))
+
+        values = _weighted_values(200)
+        assert values[0] == F(1, 2)
+        for k in range(1, 201):
+            assert values[k] == F(2 ** (k + 1) - 1, k + 1) * oracle_b(k + 1), k
+        for k in (0, 1, 2, 3, 57, 199, 200):
+            assert weighted_bernoulli(k) == values[k]
 
     def test_odd_alternating_value(self):
         assert odd_alternating_value(0) == F(1, 2)
@@ -216,6 +245,19 @@ class TestVerifiers:
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_affine_relation_holds(self, a, q, k):
         assert verify_affine_relation(a, q, k).holds
+
+    @pytest.mark.parametrize("k", [150, 200])
+    @pytest.mark.parametrize("identity", IDENTITY_CHECKS)
+    def test_identity_holds_at_large_k(self, identity, k):
+        assert IDENTITY_CHECKS[identity](k).holds
+
+    @pytest.mark.parametrize("identity", IDENTITY_CHECKS)
+    def test_one_table_per_check(self, identity):
+        bernoulli_table.cache_clear()
+        euler_table.cache_clear()
+        assert IDENTITY_CHECKS[identity](60).holds
+        assert bernoulli_table.cache_info().misses == 1
+        assert euler_table.cache_info().misses <= 1
 
     def test_affine_requires_positive_a(self):
         with pytest.raises(ValueError):
