@@ -359,21 +359,17 @@ def compare_exact(series: CFiniteSeries, cfg: Optional[AbelConfig] = None) -> Co
     Passes when the absolute error stays within max(1e-6, 10x the numeric
     error estimate).  A non-summable series is rejected up front.
     """
+    cfg = cfg or AbelConfig()
     outcome = axiomatic_sum(series)
     if not outcome.is_summable:
         raise NotSummableInputError(
             f"series has a pole of order {outcome.pole_order} at x = 1"
         )
-    return _compare(series, outcome.value, cfg or AbelConfig())
-
-
-def _compare(series: CFiniteSeries, exact: Fraction, cfg: AbelConfig) -> ComparisonReport:
-    # The comparison of compare_exact, given the exact sum already decided.
     result = abel_estimate(series, cfg)
-    abs_error = abs(result.estimate - float(exact))
+    abs_error = abs(result.estimate - float(outcome.value))
     tolerance = max(1e-6, 10 * result.error_estimate)
     return ComparisonReport(
-        exact=exact,
+        exact=outcome.value,
         estimate=result.estimate,
         abs_error=abs_error,
         passed=abs_error < tolerance,

@@ -257,7 +257,9 @@ def weighted_bernoulli(k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    return _weighted_values(k)[k]
+    if k == 0:
+        return Fraction(1, 2)
+    return Fraction(2 ** (k + 1) - 1, k + 1) * bernoulli(k + 1)
 
 
 def odd_alternating_value(k: int) -> Fraction:

@@ -113,16 +113,11 @@ class TestWeightedValues:
 
     def test_weighted_bernoulli_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
-
-        def oracle_b(n):
-            # sympy >= 1.12 takes B_1 = +1/2; this package takes B_1 = -1/2.
-            b = sympy.bernoulli(n)
-            return F(-1, 2) if n == 1 else F(int(b.p), int(b.q))
-
         values = _weighted_values(200)
         assert values[0] == F(1, 2)
         for k in range(1, 201):
-            assert values[k] == F(2 ** (k + 1) - 1, k + 1) * oracle_b(k + 1), k
+            b = sympy.bernoulli(k + 1)  # n >= 2, where sympy's sign convention agrees
+            assert values[k] == F(2 ** (k + 1) - 1, k + 1) * F(int(b.p), int(b.q)), k
         for k in (0, 1, 2, 3, 57, 199, 200):
             assert weighted_bernoulli(k) == values[k]
 
