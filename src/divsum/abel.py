@@ -11,8 +11,8 @@ is reached exactly after finitely many columns.  A genuine pole at x = 1
 shows up as node values growing without bound across the grid and is
 reported as DivergentGridError.
 
-All summation runs in ``decimal`` arithmetic at a configurable precision,
-which absorbs the cancellation of alternating partial sums.
+All summation runs in ``decimal`` arithmetic at a fixed 50-digit
+precision, which absorbs the cancellation of alternating partial sums.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .cfinite import CFiniteSeries, axiomatic_sum, characteristic_polynomial
 
@@ -50,30 +50,26 @@ class NotSummableInputError(ValueError):
     """Exact/numeric comparison requested for a non-summable series."""
 
 
+_FIRST_LEVEL = 3  # the grid starts at x = 1 - 2^-3
+_TAIL_REL_TOL = 1e-18  # direct summation tolerance of partial_value
+_PRECISION = 50  # decimal digits of all numeric work
+
+
 @dataclass(frozen=True)
 class AbelConfig:
     """Grid and budget for the limit evaluation.
 
-    The grid is x_j = 1 - 2^-j for j = first_level..first_level+grid_levels-1.
+    The grid is x_j = 1 - 2^-j for j = 3..grid_levels+2.
     """
 
     grid_levels: int = 10
-    first_level: int = 3
     max_terms: int = 200_000
-    tail_rel_tol: float = 1e-18
-    working_precision: int = 50
 
     def __post_init__(self):
         if self.grid_levels < 3:
             raise ValueError("extrapolation needs at least 3 grid levels")
-        if self.first_level < 1:
-            raise ValueError("first grid level must be at least 1")
         if self.max_terms < 100:
             raise ValueError("term budget is unreasonably small")
-        if not self.tail_rel_tol > 0:
-            raise ValueError("tail tolerance must be positive")
-        if self.working_precision < 20:
-            raise ValueError("working precision below 20 digits is unreliable")
 
 
 @dataclass(frozen=True)
@@ -139,15 +135,14 @@ def _growth_radius(series: CFiniteSeries) -> float:
     return max(abs(r) for r in roots) * (1 + 1e-9)
 
 
-def _to_decimal(x) -> Decimal:
-    if isinstance(x, Decimal):
-        return x
-    if isinstance(x, Fraction):
-        return Decimal(x.numerator) / Decimal(x.denominator)
-    return Decimal(x)
+def _decimal(q: Fraction) -> Decimal:
+    """A rational rounded to the current decimal context."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
 
 
-def _raw_sum(series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig, rel_tol: float) -> Decimal:
+def _raw_sum(
+    series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig, rel_tol: float, rho: float
+) -> Decimal:
     """Partial sum of a_n x^n until the tail bound drops below rel_tol.
 
     The tail is bounded geometrically from the current term scale: with
@@ -157,7 +152,6 @@ def _raw_sum(series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig, rel_tol: fl
     """
     d = series.order
     dd = max(d - 1, 0)
-    rho = _growth_radius(series)
     q0 = rho * float(x_dec)
     settle_after = 2 * d + 4
     growth_window = max(2 * d, 16)
@@ -172,7 +166,7 @@ def _raw_sum(series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig, rel_tol: fl
     futility = Decimal("1e30")
     zeros = 0
     for n, a in zip(range(cfg.max_terms), series.iter_terms()):
-        term = Decimal(a.numerator) / Decimal(a.denominator) * xpow if a else Decimal(0)
+        term = _decimal(a) * xpow if a else Decimal(0)
         s += term
         xpow *= x_dec
         size = abs(term)
@@ -212,30 +206,29 @@ def _raw_sum(series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig, rel_tol: fl
 def partial_value(series: CFiniteSeries, x, cfg: Optional[AbelConfig] = None) -> float:
     """Value of sum a_n x^n at a fixed 0 <= x < 1, by direct summation."""
     cfg = cfg or AbelConfig()
-    if not 0 <= Fraction(x) < 1:
+    x = Fraction(x)
+    if not 0 <= x < 1:
         raise ValueError("evaluation point must satisfy 0 <= x < 1")
     with localcontext() as ctx:
-        ctx.prec = cfg.working_precision
-        return float(_raw_sum(series, _to_decimal(x), cfg, cfg.tail_rel_tol))
+        ctx.prec = _PRECISION
+        rho = _growth_radius(series)
+        return float(_raw_sum(series, _decimal(x), cfg, _TAIL_REL_TOL, rho))
 
 
-def _partial_sums(
-    series: CFiniteSeries, x_dec: Decimal, start: int, count: int
-) -> list[Decimal]:
-    """Partial sums S_start .. S_(start+count-1) of sum a_n x^n."""
+def _partial_sums(terms: list[Decimal], x_dec: Decimal) -> list[Decimal]:
+    """Partial sums S_0 .. S_(len(terms)-1) of sum a_n x^n."""
     out = []
     s = Decimal(0)
     xpow = Decimal(1)
-    for n, a in zip(range(start + count), series.iter_terms()):
+    for a in terms:
         if a:
-            s += Decimal(a.numerator) / Decimal(a.denominator) * xpow
+            s += a * xpow
         xpow *= x_dec
-        if n >= start:
-            out.append(s)
+        out.append(s)
     return out
 
 
-def _wynn_even(sums: list[Decimal], max_col: int, prec: int):
+def _wynn_even(sums: list[Decimal], max_col: int):
     """Best even-column epsilon value for a sequence of partial sums.
 
     Returns (value, settled, residual).  A column that has gone flat to
@@ -244,7 +237,7 @@ def _wynn_even(sums: list[Decimal], max_col: int, prec: int):
     roots at resonant x), reported as unsettled so the caller can retry.
     """
     scale = max(abs(s) for s in sums) + 1
-    guard = scale * Decimal(10) ** (-(prec - 8))
+    guard = scale * Decimal(10) ** (-(_PRECISION - 8))
     settle = Decimal("1e-12")
     prev = [Decimal(0)] * (len(sums) + 1)
     cur = list(sums)
@@ -278,25 +271,29 @@ def _wynn_even(sums: list[Decimal], max_col: int, prec: int):
     return value, False, scale
 
 
-def _node_value(series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig) -> Decimal:
+def _node_value(
+    series: CFiniteSeries, terms: list[Decimal], x_dec: Decimal, cfg: AbelConfig, rho: Callable
+) -> Decimal:
     """Numeric value of the generating series at one grid node.
 
-    Tries epsilon acceleration on a few shifted partial-sum windows; if the
-    table stays singular but the series converges at this node, falls back
-    to direct summation at a relaxed tolerance.
+    Tries epsilon acceleration on three shifted windows of the partial sums
+    of ``terms``, the series' first terms as decimals; if the table stays
+    singular but the series converges at this node (``rho()`` gives the
+    growth radius), falls back to direct summation at a relaxed tolerance.
     """
     d = series.order
     span = 2 * d + 21
+    sums = _partial_sums(terms, x_dec)
     for attempt in range(3):
         start = d + attempt * (d + 7)
         if start + span > cfg.max_terms:
             break
-        sums = _partial_sums(series, x_dec, start, span)
-        value, settled, _ = _wynn_even(sums, 2 * d + 4, cfg.working_precision)
+        value, settled, _ = _wynn_even(sums[start:start + span], 2 * d + 4)
         if settled:
             return value
-    if _growth_radius(series) * float(x_dec) < 1:
-        return _raw_sum(series, x_dec, cfg, max(cfg.tail_rel_tol, 1e-12))
+    radius = rho()
+    if radius * float(x_dec) < 1:
+        return _raw_sum(series, x_dec, cfg, 1e-12, radius)
     raise NonconvergenceError(
         f"node at x = {float(x_dec):.6g} did not stabilise within budget"
     )
@@ -335,11 +332,20 @@ def abel_estimate(series: CFiniteSeries, cfg: Optional[AbelConfig] = None) -> Ab
     estimate is the difference of the last two extrapolation columns.
     """
     cfg = cfg or AbelConfig()
+    radius = []
+
+    def rho() -> float:
+        if not radius:
+            radius.append(_growth_radius(series))
+        return radius[0]
+
     with localcontext() as ctx:
-        ctx.prec = cfg.working_precision
-        levels = range(cfg.first_level, cfg.first_level + cfg.grid_levels)
+        ctx.prec = _PRECISION
+        # the last epsilon window of _node_value ends at term 5d + 34
+        terms = [_decimal(a) for a in series.terms(min(5 * series.order + 35, cfg.max_terms))]
+        levels = range(_FIRST_LEVEL, _FIRST_LEVEL + cfg.grid_levels)
         hs = [Decimal(1) / Decimal(2 ** j) for j in levels]
-        values = [_node_value(series, Decimal(1) - h, cfg) for h in hs]
+        values = [_node_value(series, terms, Decimal(1) - h, cfg, rho) for h in hs]
         if _looks_divergent(values):
             raise DivergentGridError(
                 "node values grow without bound toward x = 1"

@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .abel import (
@@ -105,32 +105,14 @@ def emit(fmt: str, payload) -> str:
     return payload.plain
 
 
-def _abel_config(args) -> AbelConfig:
-    cfg = AbelConfig()
-    if args.max_terms is not None:
-        cfg = replace(cfg, max_terms=args.max_terms)
-    if args.grid_levels is not None:
-        cfg = replace(cfg, grid_levels=args.grid_levels)
-    return cfg
-
-
-def _handle_bernoulli(args):
-    table = bernoulli_table(args.n, args.method)
+def _handle_table(args):
+    # looked up at call time, so that a rebinding of these module names
+    # (bench/tracer.py wraps them) takes effect
+    bernoulli = args.command == "bernoulli"
+    table = (bernoulli_table if bernoulli else euler_table)(args.n, args.method)
     if args.table:
         rows = [[str(n), str(v)] for n, v in enumerate(table.values)]
-        return 0, Table(["n", "B_n"], rows)
-    value = str(table.values[args.n])
-    record = Record(
-        {"n": args.n, "method": args.method, "value": value}, plain=value
-    )
-    return 0, record
-
-
-def _handle_euler(args):
-    table = euler_table(args.n, args.method)
-    if args.table:
-        rows = [[str(n), str(v)] for n, v in enumerate(table.values)]
-        return 0, Table(["n", "E_n"], rows)
+        return 0, Table(["n", "B_n" if bernoulli else "E_n"], rows)
     value = str(table.values[args.n])
     record = Record(
         {"n": args.n, "method": args.method, "value": value}, plain=value
@@ -147,7 +129,8 @@ def _summation_payload(series, args):
     plain = fields["sum"]
     code = 0
     if args.numeric:
-        report = compare_exact(series, _abel_config(args))
+        cfg = AbelConfig(grid_levels=args.grid_levels, max_terms=args.max_terms)
+        report = compare_exact(series, cfg)
         fields["numeric"] = report.to_json()
         verdict = "pass" if report.passed else "FAIL"
         plain += (
@@ -197,8 +180,8 @@ def _handle_verify(args):
 
 
 _HANDLERS = {
-    "bernoulli": _handle_bernoulli,
-    "euler": _handle_euler,
+    "bernoulli": _handle_table,
+    "euler": _handle_table,
     "sigma": _handle_sigma,
     "sum": _handle_sum,
     "verify": _handle_verify,
@@ -212,11 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default plain)",
     )
     common.add_argument(
-        "--max-terms", type=int, default=None, metavar="N",
+        "--max-terms", type=int, default=AbelConfig.max_terms, metavar="N",
         help="term budget per partial sum for numeric evaluation",
     )
     common.add_argument(
-        "--grid-levels", type=int, default=None, metavar="J",
+        "--grid-levels", type=int, default=AbelConfig.grid_levels, metavar="J",
         help="number of grid points for the numeric limit",
     )
 

@@ -96,10 +96,6 @@ class BernoulliTable:
         if any(v[n] != 0 for n in range(3, len(v), 2)):
             raise ValueError("odd-index Bernoulli numbers above 1 must vanish")
 
-    @property
-    def max_index(self) -> int:
-        return len(self.values) - 1
-
 
 @dataclass(frozen=True)
 class EulerTable:
@@ -114,10 +110,6 @@ class EulerTable:
             raise ValueError("odd-index Euler numbers must vanish")
         if any(not isinstance(e, int) for e in v):
             raise ValueError("Euler numbers must be integers")
-
-    @property
-    def max_index(self) -> int:
-        return len(self.values) - 1
 
 
 def _bernoulli_recurrence(n_max: int) -> list:

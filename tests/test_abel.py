@@ -1,7 +1,9 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+import divsum.abel
 from divsum.abel import (
     AbelConfig,
     DivergentGridError,
@@ -13,6 +15,7 @@ from divsum.abel import (
     partial_value,
 )
 from divsum.cfinite import (
+    CFiniteSeries,
     alternating_power_series,
     axiomatic_sum,
     fibonacci_series,
@@ -29,19 +32,16 @@ F = Fraction
 class TestConfig:
     def test_defaults(self):
         cfg = AbelConfig()
+        assert [f.name for f in fields(cfg)] == ["grid_levels", "max_terms"]
         assert cfg.grid_levels == 10
-        assert cfg.first_level == 3
         assert cfg.max_terms == 200_000
 
     def test_validation(self):
         with pytest.raises(ValueError):
             AbelConfig(grid_levels=2)
-        with pytest.raises(ValueError):
-            AbelConfig(tail_rel_tol=0.0)
-        with pytest.raises(ValueError):
-            AbelConfig(first_level=0)
-        with pytest.raises(ValueError):
-            AbelConfig(working_precision=5)
+        with pytest.raises(ValueError, match="term budget is unreasonably small"):
+            AbelConfig(max_terms=99)
+        assert AbelConfig(grid_levels=3, max_terms=100).max_terms == 100
 
 
 class TestGrowthRadius:
@@ -173,3 +173,46 @@ class TestCompareExact:
             assert report.passed
             assert report.abs_error < 1e-6
             assert axiomatic_sum(s).value == report.exact
+
+
+def _count_calls(monkeypatch) -> dict:
+    """From here on, count term streams and growth-radius computations."""
+    counts = {"streams": 0, "radius": 0}
+    iter_terms = CFiniteSeries.iter_terms
+    growth_radius = divsum.abel._growth_radius
+
+    def counting_iter_terms(series):
+        counts["streams"] += 1
+        return iter_terms(series)
+
+    def counting_growth_radius(series):
+        counts["radius"] += 1
+        return growth_radius(series)
+
+    monkeypatch.setattr(CFiniteSeries, "iter_terms", counting_iter_terms)
+    monkeypatch.setattr(divsum.abel, "_growth_radius", counting_growth_radius)
+    return counts
+
+
+class TestStatePerEstimate:
+    """Terms and growth radius are built once per estimate, not per node."""
+
+    def test_epsilon_path_reads_terms_once(self, monkeypatch):
+        series = alternating_power_series(8)
+        counts = _count_calls(monkeypatch)
+        result = abel_estimate(series)
+        assert abs(result.estimate) < 1e-6  # eta(-8) = 0
+        assert counts == {"streams": 1, "radius": 0}
+
+    @pytest.mark.parametrize(
+        "recurrence, exact", [([0, -1], F(1, 2)), ([-1, -1], F(2, 3))]
+    )
+    def test_fallback_computes_radius_once(self, monkeypatch, recurrence, exact):
+        # periodic zero terms make every epsilon table singular, so each
+        # node is summed directly
+        series = CFiniteSeries(recurrence, [1, 0])
+        counts = _count_calls(monkeypatch)
+        report = compare_exact(series, AbelConfig(grid_levels=5))
+        assert report.passed
+        assert report.exact == exact
+        assert counts["radius"] == 1

@@ -53,6 +53,10 @@ class TestBernoulliCommand:
         code, out, _ = run(capsys, "bernoulli", "2", "--table")
         assert out.splitlines()[0] == "n\tB_n"
 
+    def test_term_budget_unused_without_numeric(self, capsys):
+        code, out, err = run(capsys, "bernoulli", "4", "--max-terms", "5")
+        assert (code, out, err) == (0, "-1/30", "")
+
 
 class TestEulerCommand:
     def test_plain_value(self, capsys):
@@ -186,6 +190,7 @@ class TestUsage:
         (["bernoulli", "-1"], "table size must be nonnegative"),
         (["euler", "-2", "--method", "series"], "table size must be nonnegative"),
         (["verify", "eq4", "--k", "0"], "index must be positive"),
+        (["sigma", "2", "--numeric", "--max-terms", "50"], "term budget is unreasonably small"),
     ])
     def test_error_message(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
