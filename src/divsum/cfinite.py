@@ -21,7 +21,7 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Optional
 
-from .polynomials import Polynomial, cauchy_product
+from .polynomials import Polynomial, _append_over_lcm, cauchy_product
 
 __all__ = [
     "CFiniteSeries",
@@ -288,10 +288,15 @@ def recursive_alternating_sum(k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    values = [Fraction(1, 2)]
+    # S(0)..S(m-1) are integer numerators over a running common denominator
+    # and C(m, j) is walked along the row: each S(m) is reduced once.
+    value, nums, den = Fraction(1, 2), [1], 2
     for m in range(1, k + 1):
-        acc = Fraction(1, 2)
+        s, c = 0, m
         for j in range(1, m):
-            acc -= comb(m, j) * values[j]
-        values.append(acc / 2)
-    return values[k]
+            if nums[j]:
+                s += c * nums[j]
+            c = c * (m - j) // (j + 1)
+        value = Fraction(den - 2 * s, 4 * den)  # (1/2 - s/den) / 2
+        den = _append_over_lcm(nums, den, value)
+    return value

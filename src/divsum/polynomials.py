@@ -9,6 +9,7 @@ of coefficient sequences; truncated power series use it as well.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 __all__ = ["Polynomial", "cauchy_product"]
@@ -27,6 +28,18 @@ def cauchy_product(a, b, n: int) -> list:
                 if y:
                     out[i + j] += x * y
     return out
+
+
+def _append_over_lcm(nums: list, den: int, value: Fraction) -> int:
+    """Append value to the integer numerators nums over the common
+    denominator den, first scaling den and nums by the factor of value's
+    denominator that den lacks; return the new den."""
+    missing = value.denominator // gcd(den, value.denominator)
+    if missing != 1:
+        nums[:] = [x * missing for x in nums]
+        den *= missing
+    nums.append(value.numerator * (den // value.denominator))
+    return den
 
 
 class Polynomial:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .polynomials import _append_over_lcm
 from .series import TruncatedSeries, known_series
 
 __all__ = [
@@ -113,14 +114,19 @@ class EulerTable:
 
 
 def _bernoulli_recurrence(n_max: int) -> list:
-    # sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1, solved for B_m
-    values = [Fraction(1)]
+    # sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1, solved for B_m.  B_0..B_{m-1}
+    # are held as integer numerators over one running common denominator, and
+    # C(m+1, k) is walked along the row, so the sum is in ints and each B_m
+    # is reduced once, when it is built.
+    values, nums, den = [Fraction(1)], [1], 1
     for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            if values[k]:
-                acc += comb(m + 1, k) * values[k]
-        values.append(-acc / (m + 1))
+        s, c = 0, 1
+        for k, x in enumerate(nums):
+            if x:
+                s += c * x
+            c = c * (m + 1 - k) // (k + 1)
+        values.append(Fraction(-s, (m + 1) * den))
+        den = _append_over_lcm(nums, den, values[m])
     return values
 
 
@@ -190,10 +196,11 @@ def _euler_recurrence(n_max: int) -> list:
     # sum_{k=0}^{n} C(2n, 2k) (-1)^k E_{2k} = 0 for n >= 1, solved for E_{2n}
     even = [1]
     for n in range(1, n_max // 2 + 1):
-        acc = 0
-        for k in range(n):
-            acc += comb(2 * n, 2 * k) * (-1) ** k * even[k]
-        even.append((-1) ** (n + 1) * acc)
+        acc, c = 0, 1  # c = C(2n, 2k)
+        for k, e in enumerate(even):
+            acc += -c * e if k & 1 else c * e
+            c = c * (2 * n - 2 * k) * (2 * n - 2 * k - 1) // ((2 * k + 1) * (2 * k + 2))
+        even.append(acc if n & 1 else -acc)
     values = [0] * (n_max + 1)
     for k, e in enumerate(even):
         if 2 * k <= n_max:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterable
 
-from .polynomials import cauchy_product
+from .polynomials import _append_over_lcm, cauchy_product
 
 __all__ = [
     "NonInvertibleSeriesError",
@@ -105,21 +105,24 @@ class TruncatedSeries:
         """Series g with self * g = 1 + O(z^(N+1)).
 
         Uses the triangular recursion g_n = -(1/c_0) * sum_{j=1..n} c_j g_{n-j}
-        with g_0 = 1/c_0; requires a nonzero constant term.
+        with g_0 = 1/c_0; requires a nonzero constant term.  The sum runs in
+        integers: c_0..c_n are held as integer numerators C_j over the lcm of
+        their denominators, and g_0..g_{n-1} as integer numerators G_k over
+        the lcm L of theirs; both lcms grow as coefficients are appended.
+        Then g_n = -(sum C_j G_{n-j}) / (C_0 L), and each coefficient is
+        reduced once, when it is built.
         """
         c = self._coeffs
         if c[0] == 0:
             raise NonInvertibleSeriesError(
                 "series with zero constant term has no reciprocal"
             )
-        inv0 = 1 / c[0]
-        out = [inv0] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                if c[j]:
-                    acc += c[j] * out[n - j]
-            out[n] = -inv0 * acc
+        c_nums, c_den, g_nums, g_den, out = [], 1, [], 1, []
+        for n, x in enumerate(c):
+            c_den = _append_over_lcm(c_nums, c_den, x)
+            s = sum(c_nums[j] * g_nums[n - j] for j in range(1, n + 1) if c_nums[j])
+            out.append(Fraction(-s, c_nums[0] * g_den) if n else 1 / x)
+            g_den = _append_over_lcm(g_nums, g_den, out[n])
         return TruncatedSeries(out)
 
     def scale_variable(self, factor) -> "TruncatedSeries":

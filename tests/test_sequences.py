@@ -61,6 +61,15 @@ class TestBernoulli:
     def test_garabedian_agrees_at_160(self):
         assert bernoulli_table(160, "garabedian").values == bernoulli_table(160).values
 
+    def test_series_agrees_at_600(self):
+        assert bernoulli_table(600, "series").values == bernoulli_table(600).values
+
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_matches_sympy_at_large_n(self, n):
+        sympy = pytest.importorskip("sympy")
+        b = sympy.bernoulli(n)  # n >= 2, where sympy's sign convention agrees
+        assert bernoulli_table(600).values[n] == F(int(b.p), int(b.q))
+
     def test_odd_indices_vanish(self):
         table = bernoulli_table(25).values
         assert all(table[n] == 0 for n in range(3, 26, 2))
@@ -90,6 +99,14 @@ class TestEuler:
 
     def test_methods_agree(self):
         assert euler_table(20, "series").values == euler_table(20, "recurrence").values
+
+    def test_methods_agree_at_600(self):
+        assert euler_table(600, "series").values == euler_table(600).values
+
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_matches_sympy_at_large_n(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert euler_table(600).values[n] == int(sympy.euler(n))
 
     def test_values_are_integers(self):
         assert all(isinstance(v, int) for v in euler_table(20).values)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,34 @@ class TestArithmetic:
         assert (f * g).coefficients == (F(4), F(13), F(28))
 
 
+def _fraction_reciprocal(coeffs):
+    # The Fraction triangular recursion g_n = -(1/c_0) sum_{j=1..n} c_j g_{n-j},
+    # kept as the oracle for the integer kernel of TruncatedSeries.reciprocal.
+    inv0 = 1 / coeffs[0]
+    out = [inv0]
+    for n in range(1, len(coeffs)):
+        acc = sum((coeffs[j] * out[n - j] for j in range(1, n + 1)), F(0))
+        out.append(-inv0 * acc)
+    return tuple(out)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def _random_series(rng):
+    """Order 0..60; the constant term is often fractional or negative, zero
+    coefficients come in runs, and each other denominator is a power of a
+    prime drawn from 25, so the denominators are often coprime."""
+    order = rng.randint(0, 60)
+    coeffs = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 7, 10)))]
+    while len(coeffs) <= order:
+        if rng.random() < 0.2:
+            coeffs += [F(0)] * rng.randint(1, 6)
+        else:
+            coeffs.append(F(rng.randint(-30, 30), rng.choice(_PRIMES) ** rng.randint(0, 2)))
+    return TruncatedSeries(coeffs[: order + 1])
+
+
 class TestReciprocal:
     def test_one_is_self_inverse(self):
         assert TruncatedSeries.one(5).reciprocal() == TruncatedSeries.one(5)
@@ -79,6 +108,26 @@ class TestReciprocal:
             f = known_series(name, 12)
             assert f * f.reciprocal() == TruncatedSeries.one(12)
             assert f.reciprocal() * f == TruncatedSeries.one(12)
+
+    def test_matches_fraction_recursion_on_random_series(self):
+        rng = random.Random(6)
+        negative = fractional = zero_runs = 0
+        for _ in range(60):
+            f = _random_series(rng)
+            g = f.reciprocal()
+            assert g.coefficients == _fraction_reciprocal(f.coefficients)
+            assert f * g == TruncatedSeries.one(f.order)
+            c = f.coefficients
+            negative += c[0] < 0
+            fractional += c[0].denominator != 1
+            zero_runs += any(not x and not y for x, y in zip(c[1:], c[2:]))
+        assert min(negative, fractional, zero_runs) > 10
+
+    def test_coprime_denominators(self):
+        f = TruncatedSeries([F(-2, 3), 0, 0] + [F(1, p) for p in _PRIMES])
+        g = f.reciprocal()
+        assert g.coefficients == _fraction_reciprocal(f.coefficients)
+        assert f * g == TruncatedSeries.one(f.order)
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(NonInvertibleSeriesError):
