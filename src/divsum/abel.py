@@ -11,8 +11,8 @@ is reached exactly after finitely many columns.  A genuine pole at x = 1
 shows up as node values growing without bound across the grid and is
 reported as DivergentGridError.
 
-All summation runs in ``decimal`` arithmetic at a fixed 50-digit
-precision, which absorbs the cancellation of alternating partial sums.
+All summation runs in ``decimal`` arithmetic, an estimate at a precision
+derived from the size of its terms, with 50 digits as the floor.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import count, islice
+from typing import Optional
 
 from .cfinite import CFiniteSeries, axiomatic_sum, characteristic_polynomial
 
@@ -52,7 +53,7 @@ class NotSummableInputError(ValueError):
 
 _FIRST_LEVEL = 3  # the grid starts at x = 1 - 2^-3
 _TAIL_REL_TOL = 1e-18  # direct summation tolerance of partial_value
-_PRECISION = 50  # decimal digits of all numeric work
+_PRECISION = 50  # decimal digits of partial_value; the floor of abel_estimate
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,8 @@ def _decimal(q: Fraction) -> Decimal:
     return Decimal(q.numerator) / Decimal(q.denominator)
 
 
-def _raw_sum(
-    series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig, rel_tol: float, rho: float
-) -> Decimal:
-    """Partial sum of a_n x^n until the tail bound drops below rel_tol.
+def _raw_sum(series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig) -> Decimal:
+    """Partial sum of a_n x^n until the tail bound drops below _TAIL_REL_TOL.
 
     The tail is bounded geometrically from the current term scale: with
     rho the recurrence growth radius and dd the polynomial degree margin,
@@ -152,7 +151,7 @@ def _raw_sum(
     """
     d = series.order
     dd = max(d - 1, 0)
-    q0 = rho * float(x_dec)
+    q0 = _growth_radius(series) * float(x_dec)
     settle_after = 2 * d + 4
     growth_window = max(2 * d, 16)
     recent: list[Decimal] = []
@@ -162,7 +161,7 @@ def _raw_sum(
     prev_abs = Decimal(0)
     prev_term = Decimal(0)
     xpow = Decimal(1)
-    tol = Decimal(repr(rel_tol))
+    tol = Decimal(repr(_TAIL_REL_TOL))
     futility = Decimal("1e30")
     zeros = 0
     for n, a in zip(range(cfg.max_terms), series.iter_terms()):
@@ -211,92 +210,85 @@ def partial_value(series: CFiniteSeries, x, cfg: Optional[AbelConfig] = None) ->
         raise ValueError("evaluation point must satisfy 0 <= x < 1")
     with localcontext() as ctx:
         ctx.prec = _PRECISION
-        rho = _growth_radius(series)
-        return float(_raw_sum(series, _decimal(x), cfg, _TAIL_REL_TOL, rho))
+        return float(_raw_sum(series, _decimal(x), cfg))
 
 
 def _partial_sums(terms: list[Decimal], x_dec: Decimal) -> list[Decimal]:
-    """Partial sums S_0 .. S_(len(terms)-1) of sum a_n x^n."""
+    """Partial sums S_n of sum a_n x^n at the n with a_n != 0 (no repeats)."""
     out = []
     s = Decimal(0)
     xpow = Decimal(1)
     for a in terms:
         if a:
             s += a * xpow
+            out.append(s)
         xpow *= x_dec
-        out.append(s)
     return out
 
 
-def _wynn_even(sums: list[Decimal], max_col: int):
+def _wynn_even(sums: list[Decimal], digits: int) -> tuple[Decimal, bool]:
     """Best even-column epsilon value for a sequence of partial sums.
 
-    Returns (value, settled, residual).  A column that has gone flat to
-    working precision is the converged answer; a flat pair inside a column
-    that still varies is the classical singular case (repeated recurrence
-    roots at resonant x), reported as unsettled so the caller can retry.
+    Returns (value, settled).  A flat even column (differences below the
+    working precision ``digits``) is the converged answer.  Any other flat
+    pair makes the next entry infinite (None); two columns on, Wynn's
+    particular rule E = N + S - W replaces the rhombus rule.  Larger
+    singular blocks leave the value unsettled.
     """
-    scale = max(abs(s) for s in sums) + 1
-    guard = scale * Decimal(10) ** (-(_PRECISION - 8))
+    guard = (max(abs(s) for s in sums) + 1) * Decimal(10) ** (8 - digits)
     settle = Decimal("1e-12")
-    prev = [Decimal(0)] * (len(sums) + 1)
-    cur = list(sums)
+    # the last four columns, from epsilon_(-1) = 0 and epsilon_0 = sums
+    cols = [[Decimal(0)] * (len(sums) + 1), list(sums)]
     even_tails = []
-    col = 0
-    while col < max_col and len(cur) >= 2:
+    while len(cols[-1]) >= 2:
+        prev, cur = cols[-2], cols[-1]
+        col = len(sums) - len(cur)
         new = []
-        flat = False
         for i in range(len(cur) - 1):
-            delta = cur[i + 1] - cur[i]
-            if abs(delta) < guard:
-                flat = True
-                break
-            new.append(prev[i + 1] + 1 / delta)
-        if flat:
-            spread = max(cur) - min(cur)
-            candidate = cur[-1]
-            if col % 2 == 0 and spread <= settle * (1 + abs(candidate)):
-                return candidate, True, spread
-            best = even_tails[-1] if even_tails else sums[-1]
-            return best, False, spread
-        prev, cur = cur, new
-        col += 1
-        if col % 2 == 0:
-            even_tails.append(cur[-1])
-    if len(even_tails) >= 2:
-        value = even_tails[-1]
-        residual = abs(even_tails[-1] - even_tails[-2])
-        return value, residual <= settle * (1 + abs(value)), residual
-    value = even_tails[-1] if even_tails else sums[-1]
-    return value, False, scale
+            a, b, c = cur[i], cur[i + 1], prev[i + 1]
+            if c is None:  # particular rule around the infinite entry c
+                cross = (prev[i], prev[i + 2], cols[-4][i + 2])
+                if None in cross:
+                    return (even_tails or sums)[-1], False
+                new.append(cross[0] + cross[1] - cross[2])
+            elif a is None or b is None:
+                if a is b:  # two infinite entries side by side: a larger block
+                    return (even_tails or sums)[-1], False
+                new.append(c)
+            elif abs(delta := b - a) >= guard:
+                new.append(c + 1 / delta)
+            elif col % 2 == 1 or None in cur or max(cur) - min(cur) > settle * (1 + abs(cur[-1])):
+                new.append(None)
+            else:
+                return cur[-1], True
+        cols = cols[-3:] + [new]
+        if col % 2 == 1 and new[-1] is not None:
+            even_tails.append(new[-1])
+    value = (even_tails or sums)[-1]
+    return value, len(even_tails) >= 2 and abs(value - even_tails[-2]) <= settle * (1 + abs(value))
 
 
-def _node_value(
-    series: CFiniteSeries, terms: list[Decimal], x_dec: Decimal, cfg: AbelConfig, rho: Callable
-) -> Decimal:
+def _node_value(terms: list[Decimal], order: int, x_dec: Decimal, digits: int) -> Decimal:
     """Numeric value of the generating series at one grid node.
 
-    Tries epsilon acceleration on three shifted windows of the partial sums
-    of ``terms``, the series' first terms as decimals; if the table stays
-    singular but the series converges at this node (``rho()`` gives the
-    growth radius), falls back to direct summation at a relaxed tolerance.
+    If the last ``order`` of ``terms`` are zero, so is the recurrence
+    state, and the value is the last partial sum; otherwise it comes from
+    the first of three epsilon windows over the partial sums that settles.
     """
-    d = series.order
-    span = 2 * d + 21
     sums = _partial_sums(terms, x_dec)
+    if len(terms) >= order and not any(terms[-order:]):
+        return sums[-1] if sums else Decimal(0)
+    span = 2 * order + 21
     for attempt in range(3):
-        start = d + attempt * (d + 7)
-        if start + span > cfg.max_terms:
+        # sparse terms leave fewer sums: then the windows end at the last one
+        start = min(order + attempt * (order + 7), max(len(sums) - span, 0))
+        window = sums[start:start + span]
+        if not window:
             break
-        value, settled, _ = _wynn_even(sums[start:start + span], 2 * d + 4)
+        value, settled = _wynn_even(window, digits)
         if settled:
             return value
-    radius = rho()
-    if radius * float(x_dec) < 1:
-        return _raw_sum(series, x_dec, cfg, 1e-12, radius)
-    raise NonconvergenceError(
-        f"node at x = {float(x_dec):.6g} did not stabilise within budget"
-    )
+    raise NonconvergenceError(f"node at x = {float(x_dec):.6g} did not stabilise within budget")
 
 
 def _neville_at_zero(hs: list[Decimal], values: list[Decimal]):
@@ -329,23 +321,26 @@ def abel_estimate(series: CFiniteSeries, cfg: Optional[AbelConfig] = None) -> Ab
     """Estimate the limit of sum a_n x^n as x -> 1 from below.
 
     Node values on the geometric grid are extrapolated to h = 0; the error
-    estimate is the difference of the last two extrapolation columns.
+    estimate is the difference of the last two extrapolation columns.  A
+    level j where the characteristic polynomial vanishes at 1/x_j exactly
+    puts its node on a pole of the series, so it is skipped for the next
+    level and the grid keeps ``grid_levels`` nodes.
     """
     cfg = cfg or AbelConfig()
-    radius = []
-
-    def rho() -> float:
-        if not radius:
-            radius.append(_growth_radius(series))
-        return radius[0]
-
+    d = series.order
+    # the last epsilon window of _node_value ends at term 5d + 34
+    exact_terms = series.terms(min(5 * d + 35, cfg.max_terms))
+    charpoly = characteristic_polynomial(series)
+    off_pole = (j for j in count(_FIRST_LEVEL) if charpoly.evaluate(Fraction(2 ** j, 2 ** j - 1)))
+    # max(50, floor(2 log10 max|a_n|) + 16) digits, log2|p/q| read from bit lengths
+    bits = max((abs(a.numerator).bit_length() - a.denominator.bit_length()
+                for a in exact_terms if a), default=0)
+    digits = max(_PRECISION, math.floor(2 * bits * math.log10(2)) + 16)
     with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        # the last epsilon window of _node_value ends at term 5d + 34
-        terms = [_decimal(a) for a in series.terms(min(5 * series.order + 35, cfg.max_terms))]
-        levels = range(_FIRST_LEVEL, _FIRST_LEVEL + cfg.grid_levels)
-        hs = [Decimal(1) / Decimal(2 ** j) for j in levels]
-        values = [_node_value(series, terms, Decimal(1) - h, cfg, rho) for h in hs]
+        ctx.prec = digits
+        terms = [_decimal(a) for a in exact_terms]
+        hs = [Decimal(1) / Decimal(2 ** j) for j in islice(off_pole, cfg.grid_levels)]
+        values = [_node_value(terms, d, Decimal(1) - h, digits) for h in hs]
         if _looks_divergent(values):
             raise DivergentGridError(
                 "node values grow without bound toward x = 1"

@@ -195,7 +195,7 @@ def _count_calls(monkeypatch) -> dict:
 
 
 class TestStatePerEstimate:
-    """Terms and growth radius are built once per estimate, not per node."""
+    """Terms are read once per estimate, and no node computes a growth radius."""
 
     def test_epsilon_path_reads_terms_once(self, monkeypatch):
         series = alternating_power_series(8)
@@ -205,14 +205,66 @@ class TestStatePerEstimate:
         assert counts == {"streams": 1, "radius": 0}
 
     @pytest.mark.parametrize(
-        "recurrence, exact", [([0, -1], F(1, 2)), ([-1, -1], F(2, 3))]
+        "recurrence, initial, exact",
+        [
+            ([0, -1], [1, 0], F(1, 2)),
+            ([-1, -1], [1, 0], F(2, 3)),
+            ([0, -2], [1, 0], F(1, 3)),
+            ([0, 1, 0, -2], [1, 0, 1, 0], F(1, 2)),
+            # zero at every sixth term; the filtered sums have isolated
+            # singular epsilon entries (Wynn's particular rule)
+            ([1, F(-1, 3)], [0, 1], F(3)),
+            # the filtered sums have an error of order 6: exact at column 12,
+            # which a 2d + 4 column cap would stop on before seeing it
+            ([0, -1, 0, F(-1, 2)], [0, 3, -3, -3], F(0)),
+            # one nonzero term in twelve: fewer sums than the epsilon windows span
+            ([0] * 11 + [F(-1, 2)], [1] + [0] * 11, F(2, 3)),
+            # eventually zero: the recurrence state vanishes after a_2
+            ([0, 0, 0], [2, -1, 5], F(6)),
+        ],
     )
-    def test_fallback_computes_radius_once(self, monkeypatch, recurrence, exact):
-        # periodic zero terms make every epsilon table singular, so each
-        # node is summed directly
-        series = CFiniteSeries(recurrence, [1, 0])
+    def test_zero_terms_need_no_radius(self, monkeypatch, recurrence, initial, exact):
+        # zero terms repeat partial sums; the epsilon windows skip them, so
+        # no node is summed directly
+        series = CFiniteSeries(recurrence, initial)
         counts = _count_calls(monkeypatch)
         report = compare_exact(series, AbelConfig(grid_levels=5))
         assert report.passed
         assert report.exact == exact
-        assert counts["radius"] == 1
+        assert counts["radius"] == 0
+
+
+@pytest.mark.parametrize("ratio, exact", [(F(8, 7), -7), (F(16, 15), -15)])
+def test_ratio_with_a_pole_on_the_grid(monkeypatch, ratio, exact):
+    # r = 2^j/(2^j - 1) puts x_j = 1/r on a pole; that level is skipped
+    series = poly_exp_series([1], ratio)
+    counts = _count_calls(monkeypatch)
+    report = compare_exact(series)
+    assert report.passed
+    assert report.exact == exact
+    assert report.nodes == 10
+    assert counts["radius"] == 0
+
+
+def _assert_matches_oracle(monkeypatch, series, oracle):
+    counts = _count_calls(monkeypatch)
+    report = compare_exact(series)
+    assert report.passed
+    assert abs(report.estimate - oracle) <= 1e-6 * max(1.0, abs(oracle))
+    assert counts["radius"] == 0
+
+
+@pytest.mark.parametrize("k", range(25))
+def test_alternating_powers_match_mpmath(monkeypatch, k):
+    # sum (-1)^n (n+1)^k is eta(-k); the working precision grows with k
+    mpmath = pytest.importorskip("mpmath")
+    oracle = float(mpmath.altzeta(-k))
+    _assert_matches_oracle(monkeypatch, alternating_power_series(k), oracle)
+
+
+@pytest.mark.parametrize("k", range(21))
+def test_odd_alternating_match_sympy(monkeypatch, k):
+    # sum (-1)^n (2n+1)^k is E_k / 2 with sympy's signs (E_2 = -1)
+    sympy = pytest.importorskip("sympy")
+    oracle = float(sympy.euler(k)) / 2
+    _assert_matches_oracle(monkeypatch, odd_alternating_series(k), oracle)

@@ -132,6 +132,14 @@ class TestSumCommand:
         assert payload["numeric"]["pass"] is True
         assert abs(payload["numeric"]["estimate"] - (-1.0)) < 1e-6
 
+    @pytest.mark.parametrize("ratio, exact", [("8/7", "-7"), ("16/15", "-15")])
+    def test_numeric_ratio_with_a_pole_on_the_grid(self, capsys, ratio, exact):
+        code, out, _ = run(capsys, "sum", f"poly 1 ratio {ratio}", "--numeric", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["sum"] == exact
+        assert payload["numeric"]["pass"] is True
+
     def test_parse_error_exit_code(self, capsys):
         code, out, err = run(capsys, "sum", "poly ratio 1")
         assert code == 2
