@@ -1,18 +1,18 @@
 """Floating-point evaluation of sums as limits along x -> 1 from below.
 
 The exact engine assigns a series its generating-function value at 1; this
-module approaches the same number numerically.  Partial sums of
-``sum a_n x^n`` are taken on the geometric grid x_j = 1 - 2^-j and the node
-values are extrapolated to h = 1 - x = 0 with Neville's scheme.  Node
-values themselves come from the partial sums alone: when they converge
-slowly, or diverge because a recurrence root exceeds 1/x, the epsilon
-algorithm extracts their (anti)limit, which for a linear-recurrence series
-is reached exactly after finitely many columns.  A genuine pole at x = 1
-shows up as node values growing without bound across the grid and is
-reported as DivergentGridError.
+module approaches the same number numerically.  The value of
+``sum a_n x^n`` at one point x comes from its partial sums alone: the
+epsilon algorithm extracts their limit, or their antilimit where a
+recurrence root exceeds 1/x, and for a linear-recurrence series it reaches
+the generating function's value exactly after finitely many columns.
+``partial_value`` returns that value at one x; ``abel_estimate`` takes it on
+the geometric grid x_j = 1 - 2^-j and extrapolates to h = 1 - x = 0 with
+Neville's scheme.  A genuine pole at x = 1 shows up as node values growing
+without bound across the grid and is reported as DivergentGridError.
 
-All summation runs in ``decimal`` arithmetic, an estimate at a precision
-derived from the size of its terms, with 50 digits as the floor.
+All summation runs in ``decimal`` arithmetic at a precision derived from
+the size of the terms, with 50 digits as the floor.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
 
 
 class NonconvergenceError(ArithmeticError):
-    """The term budget ran out before the partial sum stabilised."""
+    """A node value did not settle, as at a pole of the generating function."""
 
 
 class DivergentGridError(ArithmeticError):
@@ -52,15 +52,16 @@ class NotSummableInputError(ValueError):
 
 
 _FIRST_LEVEL = 3  # the grid starts at x = 1 - 2^-3
-_TAIL_REL_TOL = 1e-18  # direct summation tolerance of partial_value
-_PRECISION = 50  # decimal digits of partial_value; the floor of abel_estimate
+_PRECISION = 50  # the floor of the working precision, in decimal digits
 
 
 @dataclass(frozen=True)
 class AbelConfig:
     """Grid and budget for the limit evaluation.
 
-    The grid is x_j = 1 - 2^-j for j = 3..grid_levels+2.
+    The grid is x_j = 1 - 2^-j for j = 3..grid_levels+2.  The epsilon
+    windows read the first min(5d + 35, max_terms) terms of an order-d
+    series.
     """
 
     grid_levels: int = 10
@@ -99,118 +100,9 @@ class ComparisonReport:
         }
 
 
-def _growth_radius(series: CFiniteSeries) -> float:
-    """Largest root magnitude of the characteristic polynomial.
-
-    Durand-Kerner iteration in complex floats; accuracy around 1e-8 is
-    ample for a growth bound, and a small safety inflation is applied.
-    """
-    poly = characteristic_polynomial(series)
-    coeffs = [complex(c) for c in poly.coefficients]
-    degree = len(coeffs) - 1
-    if degree == 1:
-        return abs(coeffs[0]) * (1 + 1e-9)
-
-    def value(z: complex) -> complex:
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    roots = [(0.4 + 0.9j) ** i for i in range(1, degree + 1)]
-    for _ in range(500):
-        moved = 0.0
-        for i in range(degree):
-            denom = 1.0 + 0j
-            for j in range(degree):
-                if j != i:
-                    diff = roots[i] - roots[j]
-                    if diff == 0:
-                        diff = 1e-12
-                    denom *= diff
-            step = value(roots[i]) / denom
-            roots[i] -= step
-            moved = max(moved, abs(step))
-        if moved < 1e-13:
-            break
-    return max(abs(r) for r in roots) * (1 + 1e-9)
-
-
 def _decimal(q: Fraction) -> Decimal:
     """A rational rounded to the current decimal context."""
     return Decimal(q.numerator) / Decimal(q.denominator)
-
-
-def _raw_sum(series: CFiniteSeries, x_dec: Decimal, cfg: AbelConfig) -> Decimal:
-    """Partial sum of a_n x^n until the tail bound drops below _TAIL_REL_TOL.
-
-    The tail is bounded geometrically from the current term scale: with
-    rho the recurrence growth radius and dd the polynomial degree margin,
-    |tail_n| <= max recent |a_m x^m| * q/(1 - q) at q = rho*x*e^(dd/n).
-    Exhausting the budget first raises NonconvergenceError.
-    """
-    d = series.order
-    dd = max(d - 1, 0)
-    q0 = _growth_radius(series) * float(x_dec)
-    settle_after = 2 * d + 4
-    growth_window = max(2 * d, 16)
-    recent: list[Decimal] = []
-    consecutive = 0
-    growing = 0
-    s = Decimal(0)
-    prev_abs = Decimal(0)
-    prev_term = Decimal(0)
-    xpow = Decimal(1)
-    tol = Decimal(repr(_TAIL_REL_TOL))
-    futility = Decimal("1e30")
-    zeros = 0
-    for n, a in zip(range(cfg.max_terms), series.iter_terms()):
-        term = _decimal(a) * xpow if a else Decimal(0)
-        s += term
-        xpow *= x_dec
-        size = abs(term)
-        recent.append(size)
-        if len(recent) > dd + 2:
-            recent.pop(0)
-        # d zero terms in a row zero the recurrence state: the tail vanishes.
-        zeros = 0 if a else zeros + 1
-        if zeros >= d:
-            return s
-        growing = growing + 1 if size > prev_term else 0
-        prev_term = size
-        if growing >= growth_window and size > futility:
-            raise NonconvergenceError(
-                f"terms grow without bound at x = {float(x_dec):.6g}"
-            )
-        if n < settle_after:
-            prev_abs = abs(s)
-            continue
-        q = q0 * math.exp(dd / (n + 1))
-        if q < 1:
-            ratio = Decimal(repr(q / (1 - q)))
-            bound = max(recent) * ratio
-            scale = max(abs(s), prev_abs)
-            if bound <= tol * scale:
-                consecutive += 1
-                if consecutive >= 2:
-                    return s
-            else:
-                consecutive = 0
-        prev_abs = abs(s)
-    raise NonconvergenceError(
-        f"term budget {cfg.max_terms} exhausted at x = {float(x_dec):.6g}"
-    )
-
-
-def partial_value(series: CFiniteSeries, x, cfg: Optional[AbelConfig] = None) -> float:
-    """Value of sum a_n x^n at a fixed 0 <= x < 1, by direct summation."""
-    cfg = cfg or AbelConfig()
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError("evaluation point must satisfy 0 <= x < 1")
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        return float(_raw_sum(series, _decimal(x), cfg))
 
 
 def _partial_sums(terms: list[Decimal], x_dec: Decimal) -> list[Decimal]:
@@ -229,13 +121,19 @@ def _partial_sums(terms: list[Decimal], x_dec: Decimal) -> list[Decimal]:
 def _wynn_even(sums: list[Decimal], digits: int) -> tuple[Decimal, bool]:
     """Best even-column epsilon value for a sequence of partial sums.
 
-    Returns (value, settled).  A flat even column (differences below the
-    working precision ``digits``) is the converged answer.  Any other flat
-    pair makes the next entry infinite (None); two columns on, Wynn's
-    particular rule E = N + S - W replaces the rhombus rule.  Larger
-    singular blocks leave the value unsettled.
+    Returns (value, settled).  A pair is flat when its difference is below
+    the working precision ``digits`` at the sums' scale, or half the digits
+    below its entries: an exactly equal pair keeps the rounding error that
+    earlier columns amplified.  In an even column, a flat pair that starts
+    a flat run to the column's end, of three entries or the whole column,
+    is the converged answer; earlier entries may span a zero term the sums
+    skip.  Any other flat pair makes the next entry infinite (None); two
+    columns on, Wynn's particular rule E = N + S - W replaces the rhombus
+    rule.  Larger singular blocks leave the value unsettled.
     """
-    guard = (max(abs(s) for s in sums) + 1) * Decimal(10) ** (8 - digits)
+    # both flat thresholds as decimal exponents
+    low = (max(abs(s) for s in sums) + 1).adjusted() + 8 - digits
+    half = digits // 2
     settle = Decimal("1e-12")
     # the last four columns, from epsilon_(-1) = 0 and epsilon_0 = sums
     cols = [[Decimal(0)] * (len(sums) + 1), list(sums)]
@@ -244,8 +142,7 @@ def _wynn_even(sums: list[Decimal], digits: int) -> tuple[Decimal, bool]:
         prev, cur = cols[-2], cols[-1]
         col = len(sums) - len(cur)
         new = []
-        for i in range(len(cur) - 1):
-            a, b, c = cur[i], cur[i + 1], prev[i + 1]
+        for i, (a, b, c) in enumerate(zip(cur, cur[1:], prev[1:])):
             if c is None:  # particular rule around the infinite entry c
                 cross = (prev[i], prev[i + 2], cols[-4][i + 2])
                 if None in cross:
@@ -255,9 +152,10 @@ def _wynn_even(sums: list[Decimal], digits: int) -> tuple[Decimal, bool]:
                 if a is b:  # two infinite entries side by side: a larger block
                     return (even_tails or sums)[-1], False
                 new.append(c)
-            elif abs(delta := b - a) >= guard:
+            elif (delta := b - a) and (e := delta.adjusted()) >= low and e + half >= b.adjusted():
                 new.append(c + 1 / delta)
-            elif col % 2 == 1 or None in cur or max(cur) - min(cur) > settle * (1 + abs(cur[-1])):
+            elif (col % 2 == 1 or len(tail := cur[i:]) < min(3, len(cur)) or None in tail
+                  or max(tail) - min(tail) > settle * (1 + abs(tail[-1]))):
                 new.append(None)
             else:
                 return cur[-1], True
@@ -288,7 +186,46 @@ def _node_value(terms: list[Decimal], order: int, x_dec: Decimal, digits: int) -
         value, settled = _wynn_even(window, digits)
         if settled:
             return value
-    raise NonconvergenceError(f"node at x = {float(x_dec):.6g} did not stabilise within budget")
+    raise NonconvergenceError(f"node at x = {float(x_dec):.6g} did not stabilise")
+
+
+def _node_inputs(series: CFiniteSeries, cfg: AbelConfig) -> tuple[list[Decimal], int]:
+    """The terms the epsilon windows read, as decimals, and the digits to use.
+
+    digits = max(50, floor(2 log10 max|a_n|) + 16), with log2|p/q| read from
+    bit lengths; the terms are rounded to that precision.
+    """
+    # the last epsilon window of _node_value ends at term 5d + 34
+    exact_terms = series.terms(min(5 * series.order + 35, cfg.max_terms))
+    bits = max((abs(a.numerator).bit_length() - a.denominator.bit_length()
+                for a in exact_terms if a), default=0)
+    digits = max(_PRECISION, math.floor(2 * bits * math.log10(2)) + 16)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return [_decimal(a) for a in exact_terms], digits
+
+
+def partial_value(series: CFiniteSeries, x, cfg: Optional[AbelConfig] = None) -> float:
+    """Value of sum a_n x^n at a fixed 0 <= x < 1, from its partial sums.
+
+    This is the node value abel_estimate takes at x.  Where the terms grow
+    at x, it is the epsilon antilimit of the partial sums, which is the
+    generating function's value there: 7/8 gives -64/41 on the Fibonacci
+    series.  A node that does not settle raises NonconvergenceError.  No
+    window settles at a pole of the generating function, while a root of
+    the recurrence that the function cancels gives its finite value.  Zero
+    terms that recur inside every epsilon window, as in a(n) = -a(n-3) -
+    a(n-6)/3 from 0, -3, 3, 3, 2, 2, leave the node unsettled even where
+    the series converges.
+    """
+    cfg = cfg or AbelConfig()
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise ValueError("evaluation point must satisfy 0 <= x < 1")
+    terms, digits = _node_inputs(series, cfg)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return float(_node_value(terms, series.order, _decimal(x), digits))
 
 
 def _neville_at_zero(hs: list[Decimal], values: list[Decimal]):
@@ -327,20 +264,13 @@ def abel_estimate(series: CFiniteSeries, cfg: Optional[AbelConfig] = None) -> Ab
     level and the grid keeps ``grid_levels`` nodes.
     """
     cfg = cfg or AbelConfig()
-    d = series.order
-    # the last epsilon window of _node_value ends at term 5d + 34
-    exact_terms = series.terms(min(5 * d + 35, cfg.max_terms))
     charpoly = characteristic_polynomial(series)
     off_pole = (j for j in count(_FIRST_LEVEL) if charpoly.evaluate(Fraction(2 ** j, 2 ** j - 1)))
-    # max(50, floor(2 log10 max|a_n|) + 16) digits, log2|p/q| read from bit lengths
-    bits = max((abs(a.numerator).bit_length() - a.denominator.bit_length()
-                for a in exact_terms if a), default=0)
-    digits = max(_PRECISION, math.floor(2 * bits * math.log10(2)) + 16)
+    terms, digits = _node_inputs(series, cfg)
     with localcontext() as ctx:
         ctx.prec = digits
-        terms = [_decimal(a) for a in exact_terms]
         hs = [Decimal(1) / Decimal(2 ** j) for j in islice(off_pole, cfg.grid_levels)]
-        values = [_node_value(terms, d, Decimal(1) - h, digits) for h in hs]
+        values = [_node_value(terms, series.order, Decimal(1) - h, digits) for h in hs]
         if _looks_divergent(values):
             raise DivergentGridError(
                 "node values grow without bound toward x = 1"

@@ -240,12 +240,15 @@ def euler(n: int, method: str = "recurrence") -> int:
     return euler_table(n, method).values[n]
 
 
+def _weighted(b, j: int) -> Fraction:
+    # T(j) read from a Bernoulli table b that holds B_0..B_{j+1}.
+    return Fraction(1, 2) if j == 0 else Fraction(2 ** (j + 1) - 1, j + 1) * b[j + 1]
+
+
 def _weighted_values(k: int) -> list:
     # [T(0), ..., T(k)] read from the one table B_0..B_{k+1}.
     b = bernoulli_table(k + 1).values
-    return [Fraction(1, 2)] + [
-        Fraction(2 ** (j + 1) - 1, j + 1) * b[j + 1] for j in range(1, k + 1)
-    ]
+    return [_weighted(b, j) for j in range(k + 1)]
 
 
 def weighted_bernoulli(k: int) -> Fraction:
@@ -256,9 +259,7 @@ def weighted_bernoulli(k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    if k == 0:
-        return Fraction(1, 2)
-    return Fraction(2 ** (k + 1) - 1, k + 1) * bernoulli(k + 1)
+    return _weighted(bernoulli_table(k + 1).values, k)
 
 
 def odd_alternating_value(k: int) -> Fraction:
@@ -380,7 +381,7 @@ def verify_even_doubling(k: int) -> VerificationReport:
     """
     if k < 1:
         raise ValueError("index must be positive")
-    lhs = 2 ** (k + 1) * _weighted_values(k)[k]
+    lhs = 2 ** (k + 1) * weighted_bernoulli(k)
     e = euler_table(k).values
     rhs = Fraction(0)
     for j in range(k + 1):

@@ -3,13 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-import divsum.abel
 from divsum.abel import (
     AbelConfig,
     DivergentGridError,
     NonconvergenceError,
     NotSummableInputError,
-    _growth_radius,
     abel_estimate,
     compare_exact,
     partial_value,
@@ -44,23 +42,6 @@ class TestConfig:
         assert AbelConfig(grid_levels=3, max_terms=100).max_terms == 100
 
 
-class TestGrowthRadius:
-    def test_alternating_corpus_has_unit_radius(self):
-        # a multiplicity-m root cluster scatters by ~eps^(1/m) in floats, so
-        # expect bound quality, not exactness, at higher powers
-        assert _growth_radius(alternating_power_series(0)) == pytest.approx(1.0, abs=1e-8)
-        for k in (2, 5):
-            radius = _growth_radius(alternating_power_series(k))
-            assert 0.999 < radius < 1.05
-
-    def test_fibonacci_golden_ratio(self):
-        assert _growth_radius(fibonacci_series()) == pytest.approx(1.6180339887, abs=1e-8)
-
-    def test_geometric(self):
-        assert _growth_radius(geometric_series(5)) == pytest.approx(5.0, abs=1e-6)
-        assert _growth_radius(geometric_series(F(-1, 2))) == pytest.approx(0.5, abs=1e-6)
-
-
 class TestPartialValue:
     def test_alternating_unit_geometric_limit(self):
         value = partial_value(alternating_power_series(0), 0.5)
@@ -80,10 +61,11 @@ class TestPartialValue:
             odd_alternating_series(2),
             geometric_series(F(1, 3)),
             poly_exp_series([2, 1], F(-2, 3)),
+            fibonacci_series(),  # beyond its radius at x = 7/10
         ]
         for s in corpus:
             p, q = generating_function(s)
-            for x in (F(1, 10), F(2, 5), F(7, 10)):
+            for x in (F(0), F(1, 10), F(2, 5), F(7, 10), F(31, 32)):
                 expected = float(p.evaluate(x) / q.evaluate(x))
                 got = partial_value(s, x)
                 assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
@@ -99,10 +81,48 @@ class TestPartialValue:
         with pytest.raises(ValueError):
             partial_value(fibonacci_series(), -0.25)
 
-    def test_divergent_point_raises(self):
-        # terms grow like (phi * 0.875)^n, no budget can converge the sum
+    def test_growing_terms_give_the_generating_function(self):
+        # terms grow like (phi * 7/8)^n; the epsilon antilimit is 1/(1 - x - x^2)
+        assert partial_value(fibonacci_series(), F(7, 8)) == pytest.approx(-64 / 41, rel=1e-12)
+
+    def test_pole_at_x_raises(self):
+        # 1 + 2x + 4x^2 + ... has its pole at x = 1/2
         with pytest.raises(NonconvergenceError):
-            partial_value(fibonacci_series(), 0.875)
+            partial_value(geometric_series(2), F(1, 2))
+
+    def test_cancelled_root_is_no_pole(self):
+        # all ones from a(n) = 3a(n-1) - 2a(n-2): the root 2 has no share
+        assert partial_value(CFiniteSeries([3, -2], [1, 1]), F(1, 2)) == 2.0
+
+    def test_exactly_singular_pairs(self):
+        # a(n) = a(n-5)/2: column 4 of the epsilon table has exactly equal
+        # pairs whose rounding error the flat guard alone misses
+        series = CFiniteSeries([0, 0, 0, 0, F(1, 2)], [1, 2, 3, 4, 5])
+        assert partial_value(series, F(63, 64)) == pytest.approx(
+            30893474432 / 1155047105, rel=1e-12
+        )
+
+    @pytest.mark.xfail(
+        strict=True, raises=NonconvergenceError, reason="zero terms recur in every epsilon window"
+    )
+    def test_recurring_zero_terms(self):
+        # zeros at n = 13, 18, 31, 36, ...: no window has a flat tail past them
+        series = CFiniteSeries([0, 0, -1, 0, 0, F(-1, 3)], [0, -3, 3, 3, 2, 2])
+        assert partial_value(series, F(7, 8)) == pytest.approx(2878344 / 1430929, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            alternating_power_series(5),
+            fibonacci_series(),
+            odd_alternating_series(7),
+            poly_exp_series([2, 2], -3),
+            CFiniteSeries([1, F(-1, 3)], [0, 1]),
+        ],
+    )
+    def test_equals_the_grid_node_values(self, series):
+        nodes = abel_estimate(series).per_node_values
+        assert [partial_value(series, 1 - F(1, 2 ** j)) for j in range(3, 13)] == list(nodes)
 
 
 class TestAbelEstimate:
@@ -175,34 +195,22 @@ class TestCompareExact:
             assert axiomatic_sum(s).value == report.exact
 
 
-def _count_calls(monkeypatch) -> dict:
-    """From here on, count term streams and growth-radius computations."""
-    counts = {"streams": 0, "radius": 0}
-    iter_terms = CFiniteSeries.iter_terms
-    growth_radius = divsum.abel._growth_radius
-
-    def counting_iter_terms(series):
-        counts["streams"] += 1
-        return iter_terms(series)
-
-    def counting_growth_radius(series):
-        counts["radius"] += 1
-        return growth_radius(series)
-
-    monkeypatch.setattr(CFiniteSeries, "iter_terms", counting_iter_terms)
-    monkeypatch.setattr(divsum.abel, "_growth_radius", counting_growth_radius)
-    return counts
-
-
 class TestStatePerEstimate:
-    """Terms are read once per estimate, and no node computes a growth radius."""
+    """Terms are read once per estimate, and singular epsilon tables still settle."""
 
     def test_epsilon_path_reads_terms_once(self, monkeypatch):
         series = alternating_power_series(8)
-        counts = _count_calls(monkeypatch)
+        streams = []
+        iter_terms = CFiniteSeries.iter_terms
+
+        def counting_iter_terms(s):
+            streams.append(s)
+            return iter_terms(s)
+
+        monkeypatch.setattr(CFiniteSeries, "iter_terms", counting_iter_terms)
         result = abel_estimate(series)
         assert abs(result.estimate) < 1e-6  # eta(-8) = 0
-        assert counts == {"streams": 1, "radius": 0}
+        assert streams == [series]
 
     @pytest.mark.parametrize(
         "recurrence, initial, exact",
@@ -221,50 +229,52 @@ class TestStatePerEstimate:
             ([0] * 11 + [F(-1, 2)], [1] + [0] * 11, F(2, 3)),
             # eventually zero: the recurrence state vanishes after a_2
             ([0, 0, 0], [2, -1, 5], F(6)),
+            # one zero term inside the later windows (n = 24, 27): the even
+            # column settles on the flat run past it
+            ([-2, 0, 2], [0, 0, 3], F(3)),
+            ([-2, 0, 2], [-1, 0, -1], F(-4)),
         ],
     )
-    def test_zero_terms_need_no_radius(self, monkeypatch, recurrence, initial, exact):
-        # zero terms repeat partial sums; the epsilon windows skip them, so
-        # no node is summed directly
+    def test_zero_terms_settle(self, recurrence, initial, exact):
+        # zero terms repeat partial sums; the epsilon windows skip them
         series = CFiniteSeries(recurrence, initial)
-        counts = _count_calls(monkeypatch)
         report = compare_exact(series, AbelConfig(grid_levels=5))
         assert report.passed
         assert report.exact == exact
-        assert counts["radius"] == 0
+
+    def test_exactly_singular_pairs_at_every_node(self):
+        # a(n) = a(n-5)/2 has exactly equal pairs in column 4 at every node
+        report = compare_exact(CFiniteSeries([0, 0, 0, 0, F(1, 2)], [1, 2, 3, 4, 5]))
+        assert report.passed
+        assert report.exact == 30
 
 
 @pytest.mark.parametrize("ratio, exact", [(F(8, 7), -7), (F(16, 15), -15)])
-def test_ratio_with_a_pole_on_the_grid(monkeypatch, ratio, exact):
+def test_ratio_with_a_pole_on_the_grid(ratio, exact):
     # r = 2^j/(2^j - 1) puts x_j = 1/r on a pole; that level is skipped
-    series = poly_exp_series([1], ratio)
-    counts = _count_calls(monkeypatch)
-    report = compare_exact(series)
+    report = compare_exact(poly_exp_series([1], ratio))
     assert report.passed
     assert report.exact == exact
     assert report.nodes == 10
-    assert counts["radius"] == 0
 
 
-def _assert_matches_oracle(monkeypatch, series, oracle):
-    counts = _count_calls(monkeypatch)
+def _assert_matches_oracle(series, oracle):
     report = compare_exact(series)
     assert report.passed
     assert abs(report.estimate - oracle) <= 1e-6 * max(1.0, abs(oracle))
-    assert counts["radius"] == 0
 
 
 @pytest.mark.parametrize("k", range(25))
-def test_alternating_powers_match_mpmath(monkeypatch, k):
+def test_alternating_powers_match_mpmath(k):
     # sum (-1)^n (n+1)^k is eta(-k); the working precision grows with k
     mpmath = pytest.importorskip("mpmath")
     oracle = float(mpmath.altzeta(-k))
-    _assert_matches_oracle(monkeypatch, alternating_power_series(k), oracle)
+    _assert_matches_oracle(alternating_power_series(k), oracle)
 
 
 @pytest.mark.parametrize("k", range(21))
-def test_odd_alternating_match_sympy(monkeypatch, k):
+def test_odd_alternating_match_sympy(k):
     # sum (-1)^n (2n+1)^k is E_k / 2 with sympy's signs (E_2 = -1)
     sympy = pytest.importorskip("sympy")
     oracle = float(sympy.euler(k)) / 2
-    _assert_matches_oracle(monkeypatch, odd_alternating_series(k), oracle)
+    _assert_matches_oracle(odd_alternating_series(k), oracle)
