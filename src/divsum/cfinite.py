@@ -10,6 +10,11 @@ coefficients there, without reducing P/Q.  When Q vanishes to a higher
 order than P, a pole survives at 1: no method obeying those rules can
 assign the series a finite value, and the pole order is reported as data,
 not an error.
+
+The exact kernels run in integers: a list of rationals is held as integer
+numerators over one common denominator, the lcm of theirs, every loop adds
+and multiplies ints, and each value that leaves a kernel is reduced to a
+Fraction once.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb
+from operator import mul
 from typing import Iterable, Iterator, Optional
 
-from .polynomials import Polynomial, _append_over_lcm, cauchy_product
+from .polynomials import Polynomial, _append_over_lcm, _over_lcm, cauchy_product
 
 __all__ = [
     "CFiniteSeries",
@@ -154,7 +160,12 @@ def poly_exp_series(polynomial, ratio) -> CFiniteSeries:
     The characteristic polynomial is (x - r)^(deg p + 1); signs of an
     alternating series are folded into r, keeping that factorisation pure.
     The construction cross-checks the recurrence against the closed form
-    on the first d + 5 terms.
+    on the first d + 5 terms.  Both run in integers.  p is scaled by the lcm
+    of its denominators and evaluated by integer Horner steps, the powers
+    of the numerator and denominator of r are carried from term to term,
+    and each term is one Fraction, reduced once.  The check applies the
+    stored recurrence to the terms as integers over the lcms of their
+    denominators.
     """
     if not isinstance(polynomial, Polynomial):
         polynomial = Polynomial(polynomial)
@@ -165,9 +176,20 @@ def poly_exp_series(polynomial, ratio) -> CFiniteSeries:
         raise ValueError("ratio must be nonzero")
     d = polynomial.degree + 1
     recurrence = [-comb(d, j) * (-ratio) ** j for j in range(1, d + 1)]
-    closed = [polynomial.evaluate(n) * ratio ** n for n in range(d + 5)]
+    coeffs, den_n = _over_lcm(polynomial.coefficients)
+    closed, num_n = [], 1  # p(n) r^n = (sum coeffs[i] n^i) num_n / den_n
+    for n in range(d + 5):
+        value = 0
+        for c in reversed(coeffs):
+            value = value * n + c
+        closed.append(Fraction(value * num_n, den_n))
+        num_n *= ratio.numerator
+        den_n *= ratio.denominator
     series = CFiniteSeries(recurrence, closed[:d])
-    if series.terms(d + 5) != closed:
+    rec, rec_den = _over_lcm(series.recurrence)
+    terms, _ = _over_lcm(closed)
+    if any(rec_den * terms[n] != sum(map(mul, rec, reversed(terms[n - d:n])))
+           for n in range(d, d + 5)):
         raise ArithmeticError("recurrence disagrees with closed form")
     return series
 
@@ -238,25 +260,41 @@ def generating_function(series: CFiniteSeries) -> tuple[Polynomial, Polynomial]:
 
     Q(x) = 1 - c_1 x - ... - c_d x^d, so Q(0) = 1, and P(x) is Q times the
     initial-term polynomial, truncated below degree d.  Common factors of
-    P and Q are left in place.
+    P and Q are left in place.  Both are built in integers, over one
+    denominator each, and each coefficient is reduced once.
     """
-    q = Polynomial([Fraction(1)] + [-c for c in series.recurrence])
-    p = Polynomial(cauchy_product(q.coefficients, series.initial, series.order))
-    return p, q
+    (p, p_den), (q, q_den) = _integer_generating_function(series)
+    return (Polynomial(Fraction(x, p_den) for x in p),
+            Polynomial(Fraction(x, q_den) for x in q))
 
 
-def _order_at_one(p: Polynomial) -> tuple[int, Fraction]:
-    """Order m of vanishing of a nonzero p at x = 1 and the coefficient c
-    with p(x) = c (x - 1)^m + O((x - 1)^(m + 1)).
+def _integer_generating_function(series: CFiniteSeries) -> tuple:
+    """(p, p_den), (q, q_den): integer coefficient lists with P = p / p_den
+    and Q = q / q_den.
 
-    The Taylor coefficients at 1 are c_j = sum_i C(i, j) a_i; the first
-    nonzero one is c_m.
+    Q is scaled by the lcm q_den of the recurrence denominators and the
+    initial terms by the lcm a_den of theirs, so p is one integer Cauchy
+    product over p_den = q_den * a_den.
     """
-    a = p.coefficients
-    for j in range(len(a)):
-        c = sum(comb(i, j) * a[i] for i in range(j, len(a)))
-        if c:
-            return j, c
+    c, q_den = _over_lcm(series.recurrence)
+    q = [q_den, *(-x for x in c)]
+    a, a_den = _over_lcm(series.initial)
+    return (cauchy_product(q, a, series.order), q_den * a_den), (q, q_den)
+
+
+def _order_at_one(a: list) -> tuple[int, int]:
+    """Order m of vanishing at x = 1 of the nonzero polynomial with integer
+    coefficients a, and the c with a(x) = c (x - 1)^m + O((x - 1)^(m + 1)).
+
+    The value at 1 is the coefficient sum.  While it is zero, a is divided
+    by x - 1 synthetically (the quotient's coefficients are the suffix sums
+    of a), and c is the value at 1 of the m-th quotient.
+    """
+    m = 0
+    while not (c := sum(a)):
+        a = list(accumulate(reversed(a[1:])))[::-1]
+        m += 1
+    return m, c
 
 
 def axiomatic_sum(series: CFiniteSeries) -> SummationOutcome:
@@ -267,16 +305,17 @@ def axiomatic_sum(series: CFiniteSeries) -> SummationOutcome:
     factors of x - 1 common to P and Q cancel, so they never produce a
     spurious non-summable verdict.  Otherwise the sum is the ratio of the
     first nonzero Taylor coefficients at 1 when the orders match, and 0
-    when P vanishes to a higher order or is zero.
+    when P vanishes to a higher order or is zero.  P and Q stay integers
+    over their two denominators, and the sum is one Fraction, reduced once.
     """
-    p, q = generating_function(series)
-    if p.is_zero:
+    (p, p_den), (q, q_den) = _integer_generating_function(series)
+    if not any(p):
         return SummationOutcome.summable(0)
     m_p, c_p = _order_at_one(p)
     m_q, c_q = _order_at_one(q)
     if m_q > m_p:
         return SummationOutcome.not_summable(m_q - m_p)
-    return SummationOutcome.summable(c_p / c_q if m_p == m_q else 0)
+    return SummationOutcome.summable(Fraction(c_p * q_den, c_q * p_den) if m_p == m_q else 0)
 
 
 def recursive_alternating_sum(k: int) -> Fraction:

@@ -9,7 +9,7 @@ of coefficient sequences; truncated power series use it as well.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 __all__ = ["Polynomial", "cauchy_product"]
@@ -19,15 +19,24 @@ def cauchy_product(a, b, n: int) -> list:
     """Coefficients 0..n-1 of the product of the sequences a and b.
 
     Zero factors are skipped, so sparse operands cost only their nonzero
-    terms; coefficients past either operand count as zero.
+    terms; coefficients past either operand count as zero.  The sums start
+    from int 0, so int operands (rationals scaled to integers over a common
+    denominator) give ints and pay no gcd per term.
     """
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, x in enumerate(a[:n]):
         if x:
             for j, y in enumerate(b[: n - i]):
                 if y:
                     out[i + j] += x * y
     return out
+
+
+def _over_lcm(values) -> tuple[list, int]:
+    """Integer numerators of the rationals values over the lcm of their
+    denominators, and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _append_over_lcm(nums: list, den: int, value: Fraction) -> int:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from divsum import cfinite
 from divsum.cfinite import (
     CFiniteSeries,
     SummationOutcome,
@@ -19,7 +21,7 @@ from divsum.cfinite import (
     shift,
 )
 from divsum.polynomials import Polynomial
-from divsum.sequences import weighted_bernoulli
+from divsum.sequences import euler_table, weighted_bernoulli
 
 F = Fraction
 
@@ -74,6 +76,12 @@ class TestTerms:
         s = poly_exp_series(p, r)
         for n in range(12):
             assert s.term(n) == p.evaluate(n) * r ** n
+
+    @pytest.mark.parametrize("p, r", [([1], 2), ([2, -1, F(1, 3)], F(-3, 2)), ([0, 0, 1], -1)])
+    def test_wrong_recurrence_fails_the_closed_form_check(self, monkeypatch, p, r):
+        monkeypatch.setattr(cfinite, "comb", lambda n, k: comb(n, k) + (k == n))
+        with pytest.raises(ArithmeticError, match="recurrence disagrees with closed form"):
+            poly_exp_series(p, r)
 
 
 def reexpands(series, count):
@@ -213,6 +221,103 @@ class TestVerdictAtOne:
             zero_sums += value == 0
         assert {1, 2, 3} <= poles
         assert min(removable, eventually_zero, zero_sums) > 0
+
+
+def reference_pair(series):
+    """The Fraction construction that the integer kernel replaced:
+    Q = 1 - sum c_j x^j and P = Q * init truncated below degree d."""
+    q = [F(1)] + [-c for c in series.recurrence]
+    init = series.initial
+    p = [sum((q[i] * init[k - i] for i in range(k + 1)), F(0))
+         for k in range(series.order)]
+    return Polynomial(p), Polynomial(q)
+
+
+def reference_taylor_at_one(poly):
+    """Order at 1 and first nonzero Taylor coefficient there, from the
+    comb sums c_j = sum_i C(i, j) a_i."""
+    a = poly.coefficients
+    for j in range(len(a)):
+        c = sum((comb(i, j) * a[i] for i in range(j, len(a))), F(0))
+        if c:
+            return j, c
+
+
+def reference_sum(series):
+    p, q = reference_pair(series)
+    if p.is_zero:
+        return SummationOutcome.summable(0)
+    m_p, c_p = reference_taylor_at_one(p)
+    m_q, c_q = reference_taylor_at_one(q)
+    if m_q > m_p:
+        return SummationOutcome.not_summable(m_q - m_p)
+    return SummationOutcome.summable(c_p / c_q if m_p == m_q else 0)
+
+
+PRIME_DENOMINATORS = (3, 5, 7, 11, 13)
+
+
+def kernel_corpus(rng, size):
+    """Recurrences (x - 1)^pole * R(x) * x^zeros with pole 0..4 and R's
+    coefficients over coprime prime denominators, some of them zero.  The
+    initial terms are random rationals with zeros among them, all zero
+    (P = 0), or the terms of the recurrence of a divisor of the
+    characteristic polynomial, so factors x - 1 cancel between P and Q."""
+    x_minus_1 = Polynomial([-1, 1])
+
+    def rational():
+        if rng.random() < 0.25:
+            return F(0)
+        return F(rng.randint(-9, 9) or 1, rng.choice((1, 2, 4) + PRIME_DENOMINATORS))
+
+    corpus = []
+    for i in range(size):
+        pole = i % 5
+        other = Polynomial([rational() for _ in range(rng.randint(0, 3))] + [1])
+        zeros = rng.randint(0, 2) or int(pole + other.degree == 0)
+        char = x_minus_1 ** pole * other * Polynomial([0, 1]) ** zeros
+        d = char.degree
+        mode = rng.random()
+        if mode < 0.1:
+            initial = [F(0)] * d
+        elif mode < 0.55:
+            initial = [rational() for _ in range(d)]
+        else:
+            divisor = x_minus_1 ** rng.randint(0, max(pole - 1, 0)) * other
+            if divisor.degree == 0:
+                initial = [F(0)] * d
+            else:
+                seed = [rational() for _ in range(divisor.degree)]
+                initial = series_with(divisor, seed).terms(d)
+        corpus.append(series_with(char, initial))
+    return corpus
+
+
+class TestIntegerKernel:
+    def test_matches_the_fraction_construction(self):
+        poles, removable, zero_p, zero_coefficient, zero_initial, primes = set(), 0, 0, 0, 0, 0
+        for s in kernel_corpus(random.Random(9), 150):
+            p, q = reference_pair(s)
+            assert generating_function(s) == (p, q)
+            outcome = axiomatic_sum(s)
+            assert outcome == reference_sum(s)
+            if outcome.pole_order:
+                poles.add(outcome.pole_order)
+            removable += outcome.is_summable and q.evaluate(1) == 0 and not p.is_zero
+            zero_p += p.is_zero
+            zero_coefficient += 0 in s.recurrence
+            zero_initial += 0 in s.initial and any(s.initial)
+            dens = {c.denominator for c in s.recurrence + s.initial}
+            primes += len(dens.intersection(PRIME_DENOMINATORS)) >= 2
+        assert poles == {1, 2, 3, 4}
+        assert min(removable, zero_p, zero_coefficient, zero_initial, primes) > 0
+
+    def test_large_k(self):
+        assert axiomatic_sum(alternating_power_series(500)).value == weighted_bernoulli(500)
+        e = euler_table(300).values
+        for k in [*range(41), 300]:
+            expected = F((-1) ** (k // 2) * e[k], 2) if k % 2 == 0 else 0
+            assert axiomatic_sum(odd_alternating_series(k)).value == expected
 
 
 class TestOutcome:

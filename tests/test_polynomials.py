@@ -25,6 +25,13 @@ class TestPolynomial:
         assert (p ** 3).coefficients == (F(1), F(3), F(3), F(1))
         assert cauchy_product(p.coefficients, (p ** 3).coefficients, 3) == [1, 4, 6]
 
+    def test_int_operands_give_ints(self):
+        a, b = [3, 0, -2, 5], [1, 4, 0, -7, 2]
+        ints = cauchy_product(a, b, 10)
+        assert all(type(c) is int for c in ints)
+        assert ints == cauchy_product([F(x) for x in a], [F(y) for y in b], 10)
+        assert ints[-2:] == [0, 0]
+
     def test_scalar_multiplication(self):
         p = Polynomial([1, 2])
         assert (p * F(1, 2)).coefficients == (F(1, 2), F(1))
