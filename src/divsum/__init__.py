@@ -8,7 +8,6 @@ against a floating-point evaluation of the limit of sum a_n x^n as x -> 1.
 """
 
 from .abel import (
-    AbelConfig,
     AbelNumericResult,
     ComparisonReport,
     DivergentGridError,
@@ -36,10 +35,7 @@ from .cfinite import (
 )
 from .parsing import (
     ArityMismatchError,
-    ExplicitRecurrence,
     ExpressionSyntaxError,
-    PolynomialGeometric,
-    SeriesExpr,
     parse_series,
 )
 from .polynomials import Polynomial

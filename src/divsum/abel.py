@@ -7,9 +7,11 @@ epsilon algorithm extracts their limit, or their antilimit where a
 recurrence root exceeds 1/x, and for a linear-recurrence series it reaches
 the generating function's value exactly after finitely many columns.
 ``partial_value`` returns that value at one x; ``abel_estimate`` takes it on
-the geometric grid x_j = 1 - 2^-j and extrapolates to h = 1 - x = 0 with
+the geometric grid x_j = 1 - 2^-j, ten levels unless the caller asks for
+another number of at least 3, and extrapolates to h = 1 - x = 0 with
 Neville's scheme.  A genuine pole at x = 1 shows up as node values growing
 without bound across the grid and is reported as DivergentGridError.
+Every node reads the same first 5d + 35 terms of an order-d series.
 
 All summation runs in ``decimal`` arithmetic at a precision derived from
 the size of the terms, with 50 digits as the floor.
@@ -22,12 +24,10 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, islice
-from typing import Optional
 
 from .cfinite import CFiniteSeries, axiomatic_sum, characteristic_polynomial
 
 __all__ = [
-    "AbelConfig",
     "AbelNumericResult",
     "ComparisonReport",
     "DivergentGridError",
@@ -52,26 +52,8 @@ class NotSummableInputError(ValueError):
 
 
 _FIRST_LEVEL = 3  # the grid starts at x = 1 - 2^-3
+_GRID_LEVELS = 10  # the default number of grid nodes per estimate
 _PRECISION = 50  # the floor of the working precision, in decimal digits
-
-
-@dataclass(frozen=True)
-class AbelConfig:
-    """Grid and budget for the limit evaluation.
-
-    The grid is x_j = 1 - 2^-j for j = 3..grid_levels+2.  The epsilon
-    windows read the first min(5d + 35, max_terms) terms of an order-d
-    series.
-    """
-
-    grid_levels: int = 10
-    max_terms: int = 200_000
-
-    def __post_init__(self):
-        if self.grid_levels < 3:
-            raise ValueError("extrapolation needs at least 3 grid levels")
-        if self.max_terms < 100:
-            raise ValueError("term budget is unreasonably small")
 
 
 @dataclass(frozen=True)
@@ -174,7 +156,7 @@ def _node_value(terms: list[Decimal], order: int, x_dec: Decimal, digits: int) -
     the first of three epsilon windows over the partial sums that settles.
     """
     sums = _partial_sums(terms, x_dec)
-    if len(terms) >= order and not any(terms[-order:]):
+    if not any(terms[-order:]):
         return sums[-1] if sums else Decimal(0)
     span = 2 * order + 21
     for attempt in range(3):
@@ -189,14 +171,14 @@ def _node_value(terms: list[Decimal], order: int, x_dec: Decimal, digits: int) -
     raise NonconvergenceError(f"node at x = {float(x_dec):.6g} did not stabilise")
 
 
-def _node_inputs(series: CFiniteSeries, cfg: AbelConfig) -> tuple[list[Decimal], int]:
+def _node_inputs(series: CFiniteSeries) -> tuple[list[Decimal], int]:
     """The terms the epsilon windows read, as decimals, and the digits to use.
 
     digits = max(50, floor(2 log10 max|a_n|) + 16), with log2|p/q| read from
     bit lengths; the terms are rounded to that precision.
     """
     # the last epsilon window of _node_value ends at term 5d + 34
-    exact_terms = series.terms(min(5 * series.order + 35, cfg.max_terms))
+    exact_terms = series.terms(5 * series.order + 35)
     bits = max((abs(a.numerator).bit_length() - a.denominator.bit_length()
                 for a in exact_terms if a), default=0)
     digits = max(_PRECISION, math.floor(2 * bits * math.log10(2)) + 16)
@@ -205,7 +187,7 @@ def _node_inputs(series: CFiniteSeries, cfg: AbelConfig) -> tuple[list[Decimal],
         return [_decimal(a) for a in exact_terms], digits
 
 
-def partial_value(series: CFiniteSeries, x, cfg: Optional[AbelConfig] = None) -> float:
+def partial_value(series: CFiniteSeries, x) -> float:
     """Value of sum a_n x^n at a fixed 0 <= x < 1, from its partial sums.
 
     This is the node value abel_estimate takes at x.  Where the terms grow
@@ -218,11 +200,10 @@ def partial_value(series: CFiniteSeries, x, cfg: Optional[AbelConfig] = None) ->
     a(n-6)/3 from 0, -3, 3, 3, 2, 2, leave the node unsettled even where
     the series converges.
     """
-    cfg = cfg or AbelConfig()
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError("evaluation point must satisfy 0 <= x < 1")
-    terms, digits = _node_inputs(series, cfg)
+    terms, digits = _node_inputs(series)
     with localcontext() as ctx:
         ctx.prec = digits
         return float(_node_value(terms, series.order, _decimal(x), digits))
@@ -254,22 +235,23 @@ def _looks_divergent(values: list[Decimal]) -> bool:
     return min(ratios) > Decimal("1.4") and mags[-1] / mags[0] > 50
 
 
-def abel_estimate(series: CFiniteSeries, cfg: Optional[AbelConfig] = None) -> AbelNumericResult:
+def abel_estimate(series: CFiniteSeries, grid_levels: int = _GRID_LEVELS) -> AbelNumericResult:
     """Estimate the limit of sum a_n x^n as x -> 1 from below.
 
-    Node values on the geometric grid are extrapolated to h = 0; the error
-    estimate is the difference of the last two extrapolation columns.  A
-    level j where the characteristic polynomial vanishes at 1/x_j exactly
-    puts its node on a pole of the series, so it is skipped for the next
-    level and the grid keeps ``grid_levels`` nodes.
+    Node values on the grid x_j = 1 - 2^-j, j >= 3, are extrapolated to
+    h = 0; the error estimate is the difference of the last two
+    extrapolation columns.  A level j where the characteristic polynomial
+    vanishes at 1/x_j exactly puts its node on a pole of the series, so it
+    is skipped for the next level and the grid keeps ``grid_levels`` nodes.
     """
-    cfg = cfg or AbelConfig()
+    if grid_levels < 3:
+        raise ValueError("extrapolation needs at least 3 grid levels")
     charpoly = characteristic_polynomial(series)
     off_pole = (j for j in count(_FIRST_LEVEL) if charpoly.evaluate(Fraction(2 ** j, 2 ** j - 1)))
-    terms, digits = _node_inputs(series, cfg)
+    terms, digits = _node_inputs(series)
     with localcontext() as ctx:
         ctx.prec = digits
-        hs = [Decimal(1) / Decimal(2 ** j) for j in islice(off_pole, cfg.grid_levels)]
+        hs = [Decimal(1) / Decimal(2 ** j) for j in islice(off_pole, grid_levels)]
         values = [_node_value(terms, series.order, Decimal(1) - h, digits) for h in hs]
         if _looks_divergent(values):
             raise DivergentGridError(
@@ -279,24 +261,23 @@ def abel_estimate(series: CFiniteSeries, cfg: Optional[AbelConfig] = None) -> Ab
         return AbelNumericResult(
             estimate=float(estimate),
             error_estimate=abs(float(error)),
-            nodes_used=cfg.grid_levels,
+            nodes_used=grid_levels,
             per_node_values=tuple(float(v) for v in values),
         )
 
 
-def compare_exact(series: CFiniteSeries, cfg: Optional[AbelConfig] = None) -> ComparisonReport:
+def compare_exact(series: CFiniteSeries, grid_levels: int = _GRID_LEVELS) -> ComparisonReport:
     """Compare the exact engine sum with the numeric limit estimate.
 
     Passes when the absolute error stays within max(1e-6, 10x the numeric
     error estimate).  A non-summable series is rejected up front.
     """
-    cfg = cfg or AbelConfig()
     outcome = axiomatic_sum(series)
     if not outcome.is_summable:
         raise NotSummableInputError(
             f"series has a pole of order {outcome.pole_order} at x = 1"
         )
-    result = abel_estimate(series, cfg)
+    result = abel_estimate(series, grid_levels)
     abs_error = abs(result.estimate - float(outcome.value))
     tolerance = max(1e-6, 10 * result.error_estimate)
     return ComparisonReport(

@@ -5,29 +5,28 @@ Two forms describe a series::
     poly <polynomial in n> ratio <rational>
     rec a(n)=<sum of c*a(n-j) terms>; init <rational>, <rational>, ...
 
-The polynomial form denotes terms p(n) * r^n; the recurrence form gives the
-recurrence coefficients and initial terms directly.  Rationals are written
-``p`` or ``p/q``; whitespace is insignificant.  ``2n`` and ``2*n`` both
-mean twice n, and parenthesised groups may carry integer powers, so
+``parse_series`` returns the ``CFiniteSeries`` itself: the polynomial form
+denotes terms p(n) * r^n, and the recurrence form gives the recurrence
+coefficients and initial terms directly.  Rationals are written ``p`` or
+``p/q``; whitespace is insignificant.  ``2n`` and ``2*n`` both mean twice
+n, and parenthesised groups may carry integer powers, so
 ``poly (2n+1)^2 ratio -1`` is the alternating series of odd squares.
+Rejected input raises ``ExpressionSyntaxError`` with its position, or
+``ArityMismatchError`` when the recurrence order and the initial-term count
+disagree.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .cfinite import CFiniteSeries, poly_exp_series
 from .polynomials import Polynomial
 
 __all__ = [
     "ArityMismatchError",
-    "ExplicitRecurrence",
     "ExpressionSyntaxError",
-    "PolynomialGeometric",
-    "SeriesExpr",
     "parse_series",
 ]
 
@@ -47,70 +46,6 @@ class ExpressionSyntaxError(ValueError):
 
 class ArityMismatchError(ValueError):
     """Recurrence order and initial-term count disagree."""
-
-
-@dataclass(frozen=True)
-class PolynomialGeometric:
-    """Series with terms polynomial(n) * ratio^n."""
-
-    polynomial: Polynomial
-    ratio: Fraction
-
-    def to_cfinite(self) -> CFiniteSeries:
-        return poly_exp_series(self.polynomial, self.ratio)
-
-    def __str__(self) -> str:
-        return f"poly {_polynomial_text(self.polynomial)} ratio {self.ratio}"
-
-
-@dataclass(frozen=True)
-class ExplicitRecurrence:
-    """Series given by recurrence coefficients c_1..c_d and d initial terms."""
-
-    coefficients: tuple
-    initial: tuple
-
-    def to_cfinite(self) -> CFiniteSeries:
-        return CFiniteSeries(self.coefficients, self.initial)
-
-    def __str__(self) -> str:
-        parts = []
-        for lag, c in enumerate(self.coefficients, start=1):
-            if c == 0:
-                continue
-            ref = f"a(n-{lag})"
-            if abs(c) != 1:
-                ref = f"{abs(c)}*{ref}"
-            if not parts:
-                parts.append(ref if c > 0 else f"-{ref}")
-            else:
-                parts.append(f"{'+' if c > 0 else '-'} {ref}")
-        if not parts:
-            parts.append(f"0*a(n-{len(self.coefficients)})")
-        rhs = " ".join(parts)
-        init = ", ".join(map(str, self.initial))
-        return f"rec a(n)={rhs}; init {init}"
-
-
-SeriesExpr = Union[PolynomialGeometric, ExplicitRecurrence]
-
-
-def _polynomial_text(poly: Polynomial) -> str:
-    pieces = []
-    for k in range(poly.degree, -1, -1):
-        c = poly.coefficient(k)
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            var = "n" if k == 1 else f"n^{k}"
-            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(pieces) if pieces else "0"
 
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|[-+*/^()=;,])")
@@ -258,7 +193,7 @@ class _Parser:
         self.expect(")")
         return lag, coefficient
 
-    def parse_recurrence(self) -> ExplicitRecurrence:
+    def parse_recurrence(self) -> CFiniteSeries:
         self.expect("name", "a", label="'a'")
         self.expect("(")
         self.expect("name", "n", label="'n'")
@@ -290,10 +225,10 @@ class _Parser:
                 f"recurrence reaches back {order} terms but {len(initial)} "
                 f"initial terms were given"
             )
-        return ExplicitRecurrence(coefficients, tuple(initial))
+        return CFiniteSeries(coefficients, initial)
 
 
-def parse_series(text: str) -> SeriesExpr:
+def parse_series(text: str) -> CFiniteSeries:
     """Parse a series expression in either the poly or the rec form."""
     parser = _Parser(text)
     kind, lexeme, pos = parser.peek()
@@ -309,7 +244,7 @@ def parse_series(text: str) -> SeriesExpr:
             raise ExpressionSyntaxError(poly_pos, ("a nonzero polynomial",), "0")
         if ratio == 0:
             raise ExpressionSyntaxError(ratio_pos, ("a nonzero ratio",), "0")
-        return PolynomialGeometric(polynomial, ratio)
+        return poly_exp_series(polynomial, ratio)
     if kind == "name" and lexeme == "rec":
         parser.advance()
         return parser.parse_recurrence()

@@ -1,10 +1,8 @@
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from divsum.abel import (
-    AbelConfig,
     DivergentGridError,
     NonconvergenceError,
     NotSummableInputError,
@@ -28,18 +26,13 @@ F = Fraction
 
 
 class TestConfig:
-    def test_defaults(self):
-        cfg = AbelConfig()
-        assert [f.name for f in fields(cfg)] == ["grid_levels", "max_terms"]
-        assert cfg.grid_levels == 10
-        assert cfg.max_terms == 200_000
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AbelConfig(grid_levels=2)
-        with pytest.raises(ValueError, match="term budget is unreasonably small"):
-            AbelConfig(max_terms=99)
-        assert AbelConfig(grid_levels=3, max_terms=100).max_terms == 100
+        message = "extrapolation needs at least 3 grid levels"
+        with pytest.raises(ValueError, match=message):
+            abel_estimate(alternating_power_series(1), grid_levels=2)
+        with pytest.raises(ValueError, match=message):
+            compare_exact(alternating_power_series(1), grid_levels=2)
+        assert abel_estimate(alternating_power_series(1), grid_levels=3).nodes_used == 3
 
 
 class TestPartialValue:
@@ -153,13 +146,29 @@ class TestAbelEstimate:
         for k in range(11):
             series = alternating_power_series(k)
             errors = [
-                abel_estimate(series, AbelConfig(grid_levels=j)).error_estimate
+                abel_estimate(series, grid_levels=j).error_estimate
                 for j in range(5, 11)
             ]
             assert all(b < a for a, b in zip(errors, errors[1:])), f"k={k}: {errors}"
 
 
 class TestCompareExact:
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the pass bound scales with the Neville error estimate",
+    )
+    @pytest.mark.parametrize(
+        "series",
+        [alternating_power_series(40), poly_exp_series([1], F(1024, 1023))],
+        ids=["sigma-40", "ratio-1024/1023"],
+    )
+    def test_passing_estimate_is_close(self, series):
+        # compare_exact passes both: 9.99e9 against an exact 0, and -1190.4
+        # against -1023, within max(1e-6, 10 x the error estimate)
+        report = compare_exact(series)
+        assert report.passed
+        assert report.abs_error <= 1e-6 * max(1.0, abs(report.exact))
+
     def test_alternating_unit(self):
         report = compare_exact(alternating_power_series(0))
         assert report.passed
@@ -238,7 +247,7 @@ class TestStatePerEstimate:
     def test_zero_terms_settle(self, recurrence, initial, exact):
         # zero terms repeat partial sums; the epsilon windows skip them
         series = CFiniteSeries(recurrence, initial)
-        report = compare_exact(series, AbelConfig(grid_levels=5))
+        report = compare_exact(series, grid_levels=5)
         assert report.passed
         assert report.exact == exact
 

@@ -53,10 +53,6 @@ class TestBernoulliCommand:
         code, out, _ = run(capsys, "bernoulli", "2", "--table")
         assert out.splitlines()[0] == "n\tB_n"
 
-    def test_term_budget_unused_without_numeric(self, capsys):
-        code, out, err = run(capsys, "bernoulli", "4", "--max-terms", "5")
-        assert (code, out, err) == (0, "-1/30", "")
-
 
 class TestEulerCommand:
     def test_plain_value(self, capsys):
@@ -198,7 +194,7 @@ class TestUsage:
         (["bernoulli", "-1"], "table size must be nonnegative"),
         (["euler", "-2", "--method", "series"], "table size must be nonnegative"),
         (["verify", "eq4", "--k", "0"], "index must be positive"),
-        (["sigma", "2", "--numeric", "--max-terms", "50"], "term budget is unreasonably small"),
+        (["sigma", "2", "--numeric", "--grid-levels", "2"], "extrapolation needs at least 3 grid levels"),
     ])
     def test_error_message(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -206,13 +202,12 @@ class TestUsage:
 
     # argparse wraps its usage text to COLUMNS, so the width is pinned.
     SIGMA_USAGE = (
-        "usage: divsum sigma [-h] [--format {plain,json,csv}] [--max-terms N]\n"
-        "                    [--grid-levels J] [--numeric]\n"
+        "usage: divsum sigma [-h] [--format {plain,json,csv}] [--grid-levels J]\n"
+        "                    [--numeric]\n"
         "                    k\n"
     )
     VERIFY_USAGE = (
-        "usage: divsum verify [-h] [--format {plain,json,csv}] [--max-terms N]\n"
-        "                     [--grid-levels J] --k K [--a A] [--q Q]\n"
+        "usage: divsum verify [-h] [--format {plain,json,csv}] --k K [--a A] [--q Q]\n"
         "                     {eq4,prop2,eq6,eq7,mixed}\n"
     )
 
@@ -236,7 +231,20 @@ class TestUsage:
         assert err.startswith(self.VERIFY_USAGE + (
             "divsum verify: error: argument identity: invalid choice: 'eq9' "
             "(choose from "))
-        assert err.endswith(")\n") and err.count("\n") == 4
+        assert err.endswith(")\n") and err.count("\n") == self.VERIFY_USAGE.count("\n") + 1
+
+    @pytest.mark.parametrize("argv", [
+        ["bernoulli", "4"], ["euler", "4"], ["sigma", "2"], ["sum", "poly 1 ratio 1/2"],
+        ["verify", "eq7", "--k", "3"],
+    ])
+    def test_numeric_flags_only_on_sigma_and_sum(self, capsys, argv):
+        assert run(capsys, *argv, "--max-terms", "500")[0] == 2
+        code, _, err = run(capsys, *argv, "--grid-levels", "6")
+        if argv[0] in ("sigma", "sum"):
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert "unrecognized arguments: --grid-levels 6" in err
 
     def test_csv_record_output(self, capsys):
         code, out, _ = run(capsys, "sigma", "1", "--format", "csv")

@@ -10,13 +10,17 @@ changed.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from divsum.cli import run_command
 
-RECORDS = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+RECORDS = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])
@@ -27,3 +31,17 @@ def test_cli_output_is_unchanged(record):
     assert (code, out.getvalue(), err.getvalue()) == (
         record["exit"], record["stdout"], record["stderr"]
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "poly (2n+1)^2 ratio -1", "--format", "plain"],
+    ["sigma", "3", "--numeric", "--format", "json"],
+    ["sum", "poly 1 ratio 1", "--format", "plain"],
+], ids=" ".join)
+def test_module_entry_point(argv):
+    # a fresh interpreter through __main__ and the sys.exit in main()
+    (record,) = [r for r in RECORDS if r["argv"] == argv]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "divsum", *argv],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert (done.returncode, done.stdout) == (record["exit"], record["stdout"])

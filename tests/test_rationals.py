@@ -112,9 +112,10 @@ class TestStringForm:
 
     def test_parse_round_trip(self):
         for text in ("1/2", "-7/3", "42", "0", "-5"):
-            expr = f"rec a(n)=2*a(n-1); init {text}"
-            assert str(parse_series(expr)) == expr
-        assert str(parse_series("rec a(n)=2*a(n-1); init  6 / 4 ")).endswith("init 3/2")
+            series = parse_series(f"rec a(n)=2*a(n-1); init {text}")
+            assert series.initial == (Fraction(text),)
+            assert str(series.initial[0]) == text
+        assert parse_series("rec a(n)=2*a(n-1); init  6 / 4 ").initial == (Fraction(3, 2),)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
