@@ -26,6 +26,11 @@ F = Fraction
 
 
 class TestConfig:
+    def test_defaults(self):
+        series = alternating_power_series(1)
+        assert abel_estimate(series).nodes_used == 10
+        assert compare_exact(series).nodes == 10
+
     def test_validation(self):
         message = "extrapolation needs at least 3 grid levels"
         with pytest.raises(ValueError, match=message):

@@ -105,3 +105,40 @@ class TestErrors:
         with pytest.raises(ExpressionSyntaxError):
             parse_series("poly 1/0 ratio 2")
 
+
+
+def _rec_text(series):
+    """Write a series in the ``rec`` syntax, every coefficient spelled out."""
+    body = " + ".join(
+        f"{c}*a(n-{i})" for i, c in enumerate(series.recurrence, start=1)
+    ).replace("+ -", "- ")
+    init = ", ".join(str(v) for v in series.initial)
+    return f"rec a(n)={body}; init {init}"
+
+
+class TestRoundTrip:
+    CORPUS = [
+        "poly (n+1)^3 ratio -1",
+        "poly (2n+1)^2 ratio -1",
+        "poly 3*n^4 - 1/2*n + 7 ratio -2/3",
+        "poly 1 ratio 5",
+        "rec a(n)=a(n-1)+a(n-2); init 1,1",
+        "rec a(n)=1/2*a(n-1)+3*a(n-3); init 1,0,2",
+        "rec a(n)=-a(n-1); init -3/7",
+    ]
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_parse_print_parse(self, text):
+        # the parsed series, written back as a recurrence, parses to itself
+        series = parse_series(text)
+        assert parse_series(_rec_text(series)) == series
+
+    def test_printed_forms_are_canonical(self):
+        # every spelling of one series parses to the same CFiniteSeries
+        series = parse_series("poly (n+1)^2 ratio -1")
+        assert series == parse_series("poly n^2 + 2*n + 1 ratio -1")
+        assert series == parse_series("rec a(n)=-3a(n-1)-3a(n-2)-a(n-3); init 1,-4,9")
+        assert _rec_text(series) == "rec a(n)=-3*a(n-1) - 3*a(n-2) - 1*a(n-3); init 1, -4, 9"
+        rec = parse_series("rec a(n)= a(n-1) + a(n-2); init 1, 1")
+        assert rec == parse_series("rec a(n)=a(n-1)+a(n-2); init 1,1")
+        assert _rec_text(rec) == "rec a(n)=1*a(n-1) + 1*a(n-2); init 1, 1"
