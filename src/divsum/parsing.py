@@ -1,19 +1,26 @@
 """Parser for the CLI series-expression grammar.
 
-Two forms describe a series::
+Two forms describe a series, ``poly`` and ``rec``::
 
-    poly <polynomial in n> ratio <rational>
-    rec a(n)=<sum of c*a(n-j) terms>; init <rational>, <rational>, ...
+    series     := 'poly' polynomial 'ratio' signed | 'rec' recurrence
+    polynomial := ['-'] term (('+' | '-') term)*
+    term       := factor (['*'] factor)*     a factor without '*' starts with 'n' or '('
+    factor     := (rational | 'n' | '(' polynomial ')') ['^' integer]
+    recurrence := 'a' '(' 'n' ')' '=' ['-'] lagged (('+' | '-') lagged)*
+                  ';' 'init' signed (',' signed)*
+    lagged     := [rational ['*']] 'a' '(' 'n' '-' integer ')'     lag >= 1
+    rational   := integer ['/' integer]      denominator > 0
+    signed     := ['-' | '+'] rational
 
 ``parse_series`` returns the ``CFiniteSeries`` itself: the polynomial form
 denotes terms p(n) * r^n, and the recurrence form gives the recurrence
-coefficients and initial terms directly.  Rationals are written ``p`` or
-``p/q``; whitespace is insignificant.  ``2n`` and ``2*n`` both mean twice
-n, and parenthesised groups may carry integer powers, so
+coefficients and initial terms directly, as many initial terms as the
+largest lag.  Whitespace is insignificant.  ``2n`` and ``2*n`` both mean
+twice n, and parenthesised groups may carry integer powers, so
 ``poly (2n+1)^2 ratio -1`` is the alternating series of odd squares.
 Rejected input raises ``ExpressionSyntaxError`` with its position, or
 ``ArityMismatchError`` when the recurrence order and the initial-term count
-disagree.
+disagree.  A bad character is reported before any syntax error.
 """
 
 from __future__ import annotations
@@ -48,204 +55,147 @@ class ArityMismatchError(ValueError):
     """Recurrence order and initial-term count disagree."""
 
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|[-+*/^()=;,])")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ExpressionSyntaxError(at, ("a token",), text[at])
-        lexeme = match.group(1)
-        kind = "int" if lexeme.isdigit() else ("name" if lexeme.isalpha() else lexeme)
-        tokens.append((kind, lexeme, match.start(1)))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+# groups: an integer, a name, a symbol, or any other character (an error)
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([-+*/^()=;,])|(\S))")
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        # (kind, lexeme, position); kind is "int", "name" or the symbol itself
+        self.tokens = []
+        for match in _TOKEN.finditer(text):
+            group = match.lastindex
+            lexeme, pos = match.group(group), match.start(group)
+            if group == 4:
+                raise ExpressionSyntaxError(pos, ("a token",), lexeme)
+            self.tokens.append((("int", "name", lexeme)[group - 1], lexeme, pos))
+        self.tokens.append(("end", "end of input", len(text)))
         self.index = 0
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
+    def peek(self, kind: str, lexeme: str = None) -> bool:
         tok = self.tokens[self.index]
-        if tok[0] != "end":
-            self.index += 1
-        return tok
+        return tok[0] == kind and (lexeme is None or tok[1] == lexeme)
+
+    def position(self) -> int:
+        return self.tokens[self.index][2]
 
     def fail(self, *expected: str):
-        kind, lexeme, pos = self.peek()
-        found = lexeme if kind != "end" else "end of input"
+        _, found, pos = self.tokens[self.index]
         raise ExpressionSyntaxError(pos, expected, found)
 
     def accept(self, kind: str, lexeme: str = None) -> bool:
-        tok = self.peek()
-        if tok[0] == kind and (lexeme is None or tok[1] == lexeme):
-            self.advance()
+        if self.peek(kind, lexeme):
+            self.index += 1
             return True
         return False
 
-    def expect(self, kind: str, lexeme: str = None, label: str = None):
-        tok = self.peek()
-        if tok[0] != kind or (lexeme is not None and tok[1] != lexeme):
+    def expect(self, kind: str, lexeme: str = None, label: str = None) -> str:
+        if not self.peek(kind, lexeme):
             self.fail(label or lexeme or kind)
-        return self.advance()
+        self.index += 1
+        return self.tokens[self.index - 1][1]
 
-    def parse_integer(self) -> int:
-        tok = self.expect("int", label="an integer")
-        return int(tok[1])
+    def integer(self) -> int:
+        return int(self.expect("int", label="an integer"))
 
-    def parse_fraction(self) -> Fraction:
-        pos = self.peek()[2]
-        numerator = self.parse_integer()
+    def rational(self, signed: bool = False) -> Fraction:
+        sign = -1 if signed and self.accept("-") else 1
+        if signed and sign == 1:
+            self.accept("+")
+        numerator = self.integer()
+        denominator = 1
         if self.accept("/"):
-            den_pos = self.peek()[2]
-            denominator = self.parse_integer()
+            pos = self.position()
+            denominator = self.integer()
             if denominator == 0:
-                raise ExpressionSyntaxError(den_pos, ("a positive integer",), "0")
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
+                raise ExpressionSyntaxError(pos, ("a positive integer",), "0")
+        return Fraction(sign * numerator, denominator)
 
-    def parse_signed_fraction(self) -> Fraction:
-        sign = 1
-        if self.accept("-"):
-            sign = -1
-        elif self.accept("+"):
-            pass
-        return sign * self.parse_fraction()
-
-    # polynomial := ['-'] term (('+'|'-') term)*
-    def parse_polynomial(self) -> Polynomial:
-        negate = self.accept("-")
-        poly = self.parse_poly_term()
-        if negate:
-            poly = -poly
+    def polynomial(self) -> Polynomial:
+        poly = -self.term() if self.accept("-") else self.term()
         while True:
             if self.accept("+"):
-                poly = poly + self.parse_poly_term()
+                poly = poly + self.term()
             elif self.accept("-"):
-                poly = poly - self.parse_poly_term()
+                poly = poly - self.term()
             else:
                 return poly
 
-    # term := factor ('*' factor | factor-adjacent-to-n-or-paren)*
-    def parse_poly_term(self) -> Polynomial:
-        poly = self.parse_poly_factor()
-        while True:
-            if self.accept("*"):
-                poly = poly * self.parse_poly_factor()
-            else:
-                kind, lexeme, _ = self.peek()
-                if kind == "(" or (kind == "name" and lexeme == "n"):
-                    poly = poly * self.parse_poly_factor()
-                else:
-                    return poly
-
-    # factor := atom ['^' nonneg-int]
-    def parse_poly_factor(self) -> Polynomial:
-        poly = self.parse_poly_atom()
-        if self.accept("^"):
-            exponent = self.parse_integer()
-            poly = poly ** exponent
+    def term(self) -> Polynomial:
+        poly = self.factor()
+        while self.accept("*") or self.peek("(") or self.peek("name", "n"):
+            poly = poly * self.factor()
         return poly
 
-    # atom := rational | 'n' | '(' polynomial ')'
-    def parse_poly_atom(self) -> Polynomial:
-        kind, lexeme, _ = self.peek()
-        if kind == "int":
-            return Polynomial.constant(self.parse_fraction())
-        if kind == "name" and lexeme == "n":
-            self.advance()
-            return Polynomial.identity()
-        if kind == "(":
-            self.advance()
-            inner = self.parse_polynomial()
+    def factor(self) -> Polynomial:
+        if self.peek("int"):
+            poly = Polynomial.constant(self.rational())
+        elif self.accept("name", "n"):
+            poly = Polynomial.identity()
+        elif self.accept("("):
+            poly = self.polynomial()
             self.expect(")")
-            return inner
-        self.fail("a rational", "'n'", "'('")
+        else:
+            self.fail("a rational", "'n'", "'('")
+        return poly ** self.integer() if self.accept("^") else poly
 
-    # rec_term := [rational ['*']] 'a' '(' 'n' '-' lag ')'
-    def parse_recurrence_term(self) -> tuple:
-        coefficient = Fraction(1)
-        if self.peek()[0] == "int":
-            coefficient = self.parse_fraction()
-            self.accept("*")
+    def a_of_n(self):
+        """Read ``a ( n``, which opens the header and every lagged term."""
         self.expect("name", "a", label="'a'")
         self.expect("(")
         self.expect("name", "n", label="'n'")
-        self.expect("-")
-        lag_pos = self.peek()[2]
-        lag = self.parse_integer()
-        if lag < 1:
-            raise ExpressionSyntaxError(lag_pos, ("a positive lag",), str(lag))
-        self.expect(")")
-        return lag, coefficient
 
-    def parse_recurrence(self) -> CFiniteSeries:
-        self.expect("name", "a", label="'a'")
-        self.expect("(")
-        self.expect("name", "n", label="'n'")
+    def recurrence(self) -> CFiniteSeries:
+        self.a_of_n()
         self.expect(")")
         self.expect("=")
-        weights: dict[int, Fraction] = {}
+        weights = {}
         sign = -1 if self.accept("-") else 1
-        lag, c = self.parse_recurrence_term()
-        weights[lag] = weights.get(lag, Fraction(0)) + sign * c
-        while True:
-            if self.accept("+"):
-                sign = 1
-            elif self.accept("-"):
-                sign = -1
-            else:
-                break
-            lag, c = self.parse_recurrence_term()
-            weights[lag] = weights.get(lag, Fraction(0)) + sign * c
-        order = max(weights)
-        coefficients = tuple(weights.get(j, Fraction(0)) for j in range(1, order + 1))
+        while sign:
+            coefficient = 1
+            if self.peek("int"):
+                coefficient = self.rational()
+                self.accept("*")
+            self.a_of_n()
+            self.expect("-")
+            pos = self.position()
+            lag = self.integer()
+            if lag < 1:
+                raise ExpressionSyntaxError(pos, ("a positive lag",), "0")
+            self.expect(")")
+            weights[lag] = weights.get(lag, 0) + sign * coefficient
+            sign = 1 if self.accept("+") else -1 if self.accept("-") else 0
         self.expect(";")
         self.expect("name", "init", label="'init'")
-        initial = [self.parse_signed_fraction()]
+        initial = [self.rational(signed=True)]
         while self.accept(","):
-            initial.append(self.parse_signed_fraction())
+            initial.append(self.rational(signed=True))
         self.expect("end", label="end of input")
+        # checked before the coefficient list is built, whose length is the lag
+        order = max(weights)
         if len(initial) != order:
             raise ArityMismatchError(
                 f"recurrence reaches back {order} terms but {len(initial)} "
                 f"initial terms were given"
             )
-        return CFiniteSeries(coefficients, initial)
+        return CFiniteSeries([weights.get(j, 0) for j in range(1, order + 1)], initial)
 
 
 def parse_series(text: str) -> CFiniteSeries:
     """Parse a series expression in either the poly or the rec form."""
     parser = _Parser(text)
-    kind, lexeme, pos = parser.peek()
-    if kind == "name" and lexeme == "poly":
-        parser.advance()
-        poly_pos = parser.peek()[2]
-        polynomial = parser.parse_polynomial()
-        parser.expect("name", "ratio", label="'ratio'")
-        ratio_pos = parser.peek()[2]
-        ratio = parser.parse_signed_fraction()
-        parser.expect("end", label="end of input")
-        if polynomial.is_zero:
-            raise ExpressionSyntaxError(poly_pos, ("a nonzero polynomial",), "0")
-        if ratio == 0:
-            raise ExpressionSyntaxError(ratio_pos, ("a nonzero ratio",), "0")
-        return poly_exp_series(polynomial, ratio)
-    if kind == "name" and lexeme == "rec":
-        parser.advance()
-        return parser.parse_recurrence()
-    parser.fail("'poly'", "'rec'")
+    if parser.accept("name", "rec"):
+        return parser.recurrence()
+    if not parser.accept("name", "poly"):
+        parser.fail("'poly'", "'rec'")
+    poly_pos = parser.position()
+    polynomial = parser.polynomial()
+    parser.expect("name", "ratio", label="'ratio'")
+    ratio_pos = parser.position()
+    ratio = parser.rational(signed=True)
+    parser.expect("end", label="end of input")
+    if polynomial.is_zero:
+        raise ExpressionSyntaxError(poly_pos, ("a nonzero polynomial",), "0")
+    if ratio == 0:
+        raise ExpressionSyntaxError(ratio_pos, ("a nonzero ratio",), "0")
+    return poly_exp_series(polynomial, ratio)

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from divsum import cli
+from divsum.abel import ComparisonReport, DivergentGridError, NonconvergenceError
 from divsum.cli import Record, Table, emit, run_command
+from divsum.sequences import IdentityViolation, VerificationReport
 
 
 def run(capsys, *argv):
@@ -144,6 +147,48 @@ class TestSumCommand:
     def test_arity_error_exit_code(self, capsys):
         code, out, err = run(capsys, "sum", "rec a(n)=a(n-2); init 1")
         assert code == 2
+
+
+class TestExitOne:
+    """The exit-1 outcomes that no real input reaches reliably, forced by monkeypatch."""
+
+    FAILED = ComparisonReport(Fraction(1, 4), 0.5, 0.25, False, 10)
+
+    @pytest.mark.parametrize("fmt, stdout", [
+        ("plain", "1/4\nnumeric estimate 0.5 (abs error 2.500e-01, nodes 10): FAIL\n"),
+        ("json", '{"numeric": {"abs_error": 0.25, "estimate": 0.5, "exact": "1/4", '
+                 '"nodes": 10, "pass": false}, "sum": "1/4"}\n'),
+    ])
+    def test_failed_comparison(self, capsys, monkeypatch, fmt, stdout):
+        monkeypatch.setattr(cli, "compare_exact", lambda series, levels: self.FAILED)
+        code = run_command(["sigma", "1", "--numeric", "--format", fmt])
+        assert (code, *capsys.readouterr()) == (1, stdout, "")
+
+    @pytest.mark.parametrize("error", [NonconvergenceError, DivergentGridError])
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_numeric_evaluation_failed(self, capsys, monkeypatch, error, fmt):
+        def compare_exact(series, levels):
+            raise error("no limit here")
+
+        monkeypatch.setattr(cli, "compare_exact", compare_exact)
+        code = run_command(["sum", "poly 1 ratio 1/2", "--numeric", "--format", fmt])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "numeric evaluation failed: no limit here\n"
+        )
+
+    @pytest.mark.parametrize("fmt, stdout", [
+        ("plain", "violated: lhs=1 rhs=2 at {'k': 3}\n"),
+        ("json", '{"holds": false, "identity": "eq4", "lhs": "1", '
+                 '"params": {"k": 3}, "rhs": "2"}\n'),
+    ])
+    def test_identity_violated(self, capsys, monkeypatch, fmt, stdout):
+        def verifier(args):
+            report = VerificationReport("eq4", {"k": args.k}, Fraction(1), Fraction(2), False)
+            raise IdentityViolation(report)
+
+        monkeypatch.setitem(cli._VERIFIERS, "eq4", verifier)
+        code = run_command(["verify", "eq4", "--k", "3", "--format", fmt])
+        assert (code, *capsys.readouterr()) == (1, stdout, "")
 
 
 class TestVerifyCommand:
