@@ -26,6 +26,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .abel import _GRID_LEVELS, DivergentGridError, NonconvergenceError, compare_exact
 from .cfinite import alternating_power_series, axiomatic_sum
@@ -224,11 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def run_command(argv) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

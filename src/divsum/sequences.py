@@ -143,16 +143,14 @@ def _bernoulli_series(n_max: int) -> list:
 def _bernoulli_garabedian(n_max: int) -> list:
     # Explicit double sum for B_{n+1}, n >= 1, from transforming the
     # alternating power sums; B_0 and B_1 come from the defining recurrence.
-    # The inner sum sum_j (-1)^j C(k-1, j) (j+1)^n is (-1)^(k-1) times the
-    # (k-1)-th forward difference of (j+1)^n at 0; differencing the powers in
-    # place as d[i] <- d[i-1] - d[i] leaves it in d[k-1], sign included.
+    # The inner sum d_i = sum_j (-1)^j C(i, j) (j+1)^n is (-1)^i i! S(n+1, i+1),
+    # S the Stirling numbers of the second kind.  The row keeps i! S(m, i+1) for
+    # i < m; S(m, k) = k S(m-1, k) + S(m-1, k-1), times i!, steps it from m - 1.
     values = [Fraction(1), Fraction(-1, 2)][: n_max + 1]
+    row = [1]  # m = 1
     for m in range(2, n_max + 1):
-        n = m - 1
-        d = [(j + 1) ** n for j in range(n + 1)]
-        for s in range(1, n + 1):
-            d[s:] = [prev - cur for prev, cur in zip(d[s - 1:], d[s:])]
-        total = sum(inner << (n - i) for i, inner in enumerate(d))  # over 2^(n+1)
+        row = [(i + 1) * s + i * prev for i, (prev, s) in enumerate(zip([0] + row, row + [0]))]
+        total = sum((-d if i & 1 else d) << (m - 1 - i) for i, d in enumerate(row))  # over 2^m
         values.append(Fraction(m * total, (2 ** m - 1) * 2 ** m))
     return values
 

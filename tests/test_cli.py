@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -308,3 +309,26 @@ class TestUsage:
             payload = json.loads(out)
             assert payload is not None
             assert code == 0
+
+
+class TestParserReuse:
+    """run_command parses every call with one cached parser."""
+
+    def test_usage_error_then_valid_call(self, capsys):
+        golden = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+        argv = ["euler", "8", "--method", "series", "--format", "json"]
+        (record,) = [r for r in golden if r["argv"] == argv]
+        assert run(capsys, "euler", "4", "--method", "garabedian")[:2] == (2, "")
+        code = run_command(argv)
+        assert (code, *capsys.readouterr()) == (
+            record["exit"], record["stdout"], record["stderr"]
+        )
+
+    def test_numeric_flag_does_not_carry_over(self, capsys):
+        assert run(capsys, "sigma", "3", "--numeric")[:2] == (
+            0, "-1/8\nnumeric estimate -0.125 (abs error 0.000e+00, nodes 10): pass"
+        )
+        assert run(capsys, "sigma", "3") == (0, "-1/8", "")
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

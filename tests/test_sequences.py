@@ -44,6 +44,22 @@ IDENTITY_CHECKS = {
 }
 
 
+def garabedian_by_differences(n_max):
+    """Garabedian's sum with each inner sum formed afresh, O(N^3): for every
+    n, differencing (j+1)^n in place as d[i] <- d[i-1] - d[i] leaves
+    sum_j (-1)^j C(i, j) (j+1)^n in d[i], sign included.  It shares no step
+    with the Stirling rows of the library's builder."""
+    values = [F(1), F(-1, 2)][: n_max + 1]
+    for m in range(2, n_max + 1):
+        n = m - 1
+        d = [(j + 1) ** n for j in range(n + 1)]
+        for s in range(1, n + 1):
+            d[s:] = [prev - cur for prev, cur in zip(d[s - 1:], d[s:])]
+        total = sum(inner << (n - i) for i, inner in enumerate(d))  # over 2^(n+1)
+        values.append(F(m * total, (2 ** m - 1) * 2 ** m))
+    return values
+
+
 class TestBernoulli:
     def test_anchor_values(self):
         assert bernoulli(0) == 1
@@ -58,8 +74,14 @@ class TestBernoulli:
         reference = bernoulli_table(24, "recurrence").values
         assert bernoulli_table(24, method).values == reference
 
-    def test_garabedian_agrees_at_160(self):
-        assert bernoulli_table(160, "garabedian").values == bernoulli_table(160).values
+    @pytest.mark.parametrize("n_max", range(41))
+    def test_garabedian_equals_the_differenced_sum(self, n_max):
+        # n_max = 0 and 1 cover the B_0, B_1 slice
+        values = bernoulli_table(n_max, "garabedian").values
+        assert list(values) == garabedian_by_differences(n_max)
+
+    def test_garabedian_agrees_at_400(self):
+        assert bernoulli_table(400, "garabedian").values == bernoulli_table(400).values
 
     def test_series_agrees_at_600(self):
         assert bernoulli_table(600, "series").values == bernoulli_table(600).values
@@ -69,6 +91,12 @@ class TestBernoulli:
         sympy = pytest.importorskip("sympy")
         b = sympy.bernoulli(n)  # n >= 2, where sympy's sign convention agrees
         assert bernoulli_table(600).values[n] == F(int(b.p), int(b.q))
+
+    @pytest.mark.parametrize("n", [2, 60, 255, 300])
+    def test_garabedian_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        b = sympy.bernoulli(n)  # n >= 2, where sympy's sign convention agrees
+        assert bernoulli_table(300, "garabedian").values[n] == F(int(b.p), int(b.q))
 
     def test_odd_indices_vanish(self):
         table = bernoulli_table(25).values
