@@ -11,15 +11,14 @@ order than P, a pole survives at 1: no method obeying those rules can
 assign the series a finite value, and the pole order is reported as data,
 not an error.
 
-The exact kernels run in integers: a list of rationals is held as integer
-numerators over one common denominator, the lcm of theirs, every loop adds
-and multiplies ints, and each value that leaves a kernel is reduced to a
-Fraction once.
+The exact kernels, the term generator among them, run in integers: a list
+of rationals is held as integer numerators over one common denominator, the
+lcm of theirs, every loop or recurrence step adds and multiplies ints, and
+each value or term that leaves a kernel is reduced to a Fraction once.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -85,14 +84,17 @@ class CFiniteSeries:
         return self._initial
 
     def iter_terms(self) -> Iterator[Fraction]:
-        """Yield a_0, a_1, a_2, ... without end, one recurrence step per term."""
+        """Yield a_0, a_1, a_2, ... without end.  Terms are stepped in ints,
+        over running lcm denominators, and each one is reduced once."""
         yield from self._initial
-        rec = self._recurrence
-        window = deque(self._initial, maxlen=len(rec))
+        rec, q_den = _over_lcm(self._recurrence)
+        taps = [(-j, c) for j, c in enumerate(rec, start=1) if c]
+        window, den = _over_lcm(self._initial)
         while True:
-            nxt = sum(c * a for c, a in zip(rec, reversed(window)))
-            window.append(nxt)
-            yield nxt
+            value = Fraction(sum(c * window[j] for j, c in taps), q_den * den)
+            yield value
+            del window[0]
+            den = _append_over_lcm(window, den, value)
 
     def term(self, n: int) -> Fraction:
         if n < 0:
@@ -101,6 +103,8 @@ class CFiniteSeries:
 
     def terms(self, count: int) -> list:
         """First `count` terms, computed in one forward pass."""
+        if count < 0:
+            raise ValueError("term count must be nonnegative")
         return list(islice(self.iter_terms(), count))
 
     def __eq__(self, other) -> bool:

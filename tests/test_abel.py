@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from divsum import abel
 from divsum.abel import (
     DivergentGridError,
     NonconvergenceError,
@@ -120,7 +121,8 @@ class TestPartialValue:
     )
     def test_equals_the_grid_node_values(self, series):
         nodes = abel_estimate(series).per_node_values
-        assert [partial_value(series, 1 - F(1, 2 ** j)) for j in range(3, 13)] == list(nodes)
+        levels = range(abel._FIRST_LEVEL, abel._FIRST_LEVEL + abel._GRID_LEVELS)
+        assert [partial_value(series, 1 - F(1, 2 ** j)) for j in levels] == list(nodes)
 
 
 class TestAbelEstimate:

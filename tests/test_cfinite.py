@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 from math import comb
 
@@ -318,6 +319,50 @@ class TestIntegerKernel:
         for k in [*range(41), 300]:
             expected = F((-1) ** (k // 2) * e[k], 2) if k % 2 == 0 else 0
             assert axiomatic_sum(odd_alternating_series(k)).value == expected
+
+
+def reference_terms(series, count):
+    """The Fraction loop that the integer term generator replaced: each
+    step sums c_j * a_(n-j) over a deque of the last d terms."""
+    out = list(series.initial[:count])
+    window = deque(series.initial, maxlen=series.order)
+    while len(out) < count:
+        window.append(sum(c * a for c, a in zip(series.recurrence, reversed(window))))
+        out.append(window[-1])
+    return out
+
+
+class TestTermGenerator:
+    def test_matches_the_fraction_loop_on_the_kernel_corpus(self):
+        for s in kernel_corpus(random.Random(9), 150):
+            count = 5 * s.order + 35
+            got = s.terms(count)
+            assert got == reference_terms(s, count)
+            assert all(type(a) is Fraction for a in got)
+
+    @pytest.mark.parametrize("series", [
+        alternating_power_series(60),
+        poly_exp_series(Polynomial([comb(40, j) for j in range(41)]), F(255, 256)),
+        CFiniteSeries([0, 0, 0], [1, F(-2, 3), 5]),
+        CFiniteSeries([F(1, 3), 0, F(-2, 7), 0, F(5, 256)], [F(1, 7), 0, F(3, 256), -1, F(2, 3)]),
+    ], ids=["sigma 60", "(n+1)^40 (255/256)^n", "all-zero recurrence", "sparse, dens 3 7 256"])
+    def test_matches_the_fraction_loop(self, series):
+        count = 5 * series.order + 35
+        assert series.terms(count) == reference_terms(series, count)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 5, 17, 40])
+    def test_term_is_the_last_of_terms(self, n):
+        s = CFiniteSeries([F(1, 2), F(1, 3), F(-1, 7)], [1, F(-1, 5), F(2, 9)])
+        assert s.term(n) == s.terms(n + 1)[-1] == reference_terms(s, n + 1)[-1]
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="^term count must be nonnegative$"):
+            fibonacci_series().terms(-1)
+        assert fibonacci_series().terms(0) == []
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(IndexError, match="^term index must be nonnegative$"):
+            fibonacci_series().term(-1)
 
 
 class TestOutcome:
