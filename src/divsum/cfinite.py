@@ -216,7 +216,7 @@ def odd_alternating_series(k: int) -> CFiniteSeries:
 
 def geometric_series(ratio) -> CFiniteSeries:
     """The series 1 + r + r^2 + ... for a nonzero ratio r."""
-    return poly_exp_series(Polynomial.constant(1), ratio)
+    return poly_exp_series(Polynomial([1]), ratio)
 
 
 def fibonacci_series() -> CFiniteSeries:

@@ -18,6 +18,8 @@ coefficients and initial terms directly, as many initial terms as the
 largest lag.  Whitespace is insignificant.  ``2n`` and ``2*n`` both mean
 twice n, and parenthesised groups may carry integer powers, so
 ``poly (2n+1)^2 ratio -1`` is the alternating series of odd squares.
+A polynomial is read as integer coefficients over one denominator, so its
+sums, products and powers run in ints; each coefficient is reduced once.
 Rejected input raises ``ExpressionSyntaxError`` with its position, or
 ``ArityMismatchError`` when the recurrence order and the initial-term count
 disagree.  A bad character is reported before any syntax error.
@@ -27,9 +29,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 
 from .cfinite import CFiniteSeries, poly_exp_series
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _power, cauchy_product
 
 __all__ = [
     "ArityMismatchError",
@@ -111,33 +115,42 @@ class _Parser:
                 raise ExpressionSyntaxError(pos, ("a positive integer",), "0")
         return Fraction(sign * numerator, denominator)
 
-    def polynomial(self) -> Polynomial:
-        poly = -self.term() if self.accept("-") else self.term()
-        while True:
-            if self.accept("+"):
-                poly = poly + self.term()
-            elif self.accept("-"):
-                poly = poly - self.term()
-            else:
-                return poly
+    def polynomial(self) -> tuple[list, int]:
+        """Read a polynomial as (integer coefficients, common denominator)."""
+        nums, den = [], 1
+        sign = -1 if self.accept("-") else 1
+        while sign:
+            b, b_den = self.term()
+            common = lcm(den, b_den)
+            s, t, den = common // den, sign * common // b_den, common
+            nums = [x * s + y * t for x, y in zip_longest(nums, b, fillvalue=0)]
+            sign = 1 if self.accept("+") else -1 if self.accept("-") else 0
+        while nums and not nums[-1]:  # so powers of a cancelled sum stay short
+            nums.pop()
+        return nums, den
 
-    def term(self) -> Polynomial:
-        poly = self.factor()
+    def term(self) -> tuple[list, int]:
+        nums, den = self.factor()
         while self.accept("*") or self.peek("(") or self.peek("name", "n"):
-            poly = poly * self.factor()
-        return poly
+            b, b_den = self.factor()
+            nums, den = cauchy_product(nums, b, len(nums) + len(b) - 1), den * b_den
+        return nums, den
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> tuple[list, int]:
         if self.peek("int"):
-            poly = Polynomial.constant(self.rational())
+            value = self.rational()
+            nums, den = [value.numerator], value.denominator
         elif self.accept("name", "n"):
-            poly = Polynomial.identity()
+            nums, den = [0, 1], 1
         elif self.accept("("):
-            poly = self.polynomial()
+            nums, den = self.polynomial()
             self.expect(")")
         else:
             self.fail("a rational", "'n'", "'('")
-        return poly ** self.integer() if self.accept("^") else poly
+        if self.accept("^"):
+            e = self.integer()
+            return _power(nums, e), den ** e
+        return nums, den
 
     def a_of_n(self):
         """Read ``a ( n``, which opens the header and every lagged term."""
@@ -189,7 +202,8 @@ def parse_series(text: str) -> CFiniteSeries:
     if not parser.accept("name", "poly"):
         parser.fail("'poly'", "'rec'")
     poly_pos = parser.position()
-    polynomial = parser.polynomial()
+    nums, den = parser.polynomial()
+    polynomial = Polynomial(Fraction(x, den) for x in nums)
     parser.expect("name", "ratio", label="'ratio'")
     ratio_pos = parser.position()
     ratio = parser.rational(signed=True)

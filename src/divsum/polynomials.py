@@ -32,6 +32,19 @@ def cauchy_product(a, b, n: int) -> list:
     return out
 
 
+def _power(coeffs, e: int) -> list:
+    """Coefficients of the sequence coeffs raised to the power e >= 0, by
+    square-and-multiply over cauchy_product; the zero power is [1]."""
+    result = [1]
+    while e:
+        if e & 1:
+            result = cauchy_product(result, coeffs, len(result) + len(coeffs) - 1)
+        e >>= 1
+        if e:
+            coeffs = cauchy_product(coeffs, coeffs, 2 * len(coeffs) - 1)
+    return result
+
+
 def _over_lcm(values) -> tuple[list, int]:
     """Integer numerators of the rationals values over the lcm of their
     denominators, and that lcm."""
@@ -64,15 +77,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def constant(cls, value) -> "Polynomial":
-        return cls([Fraction(value)])
-
-    @classmethod
-    def identity(cls) -> "Polynomial":
-        """The polynomial x."""
-        return cls([0, 1])
 
     @property
     def coefficients(self) -> tuple:
@@ -129,15 +133,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return Polynomial(_power(self._coeffs, exponent))
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)

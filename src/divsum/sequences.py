@@ -270,7 +270,7 @@ def odd_alternating_value(k: int) -> Fraction:
 def tan_coefficient(m: int) -> Fraction:
     """Coefficient of z^m in tan(z), m odd; even indices are flagged."""
     if m < 1 or m % 2 == 0:
-        raise EvenIndexError(f"tan coefficient expects odd index, got {m}")
+        raise EvenIndexError(f"tan coefficient expects a positive odd index, got {m}")
     n = (m + 1) // 2
     sign = (-1) ** (n + 1)
     return Fraction(sign * 2 ** (2 * n) * (2 ** (2 * n) - 1), factorial(2 * n)) * bernoulli(2 * n)
@@ -279,7 +279,7 @@ def tan_coefficient(m: int) -> Fraction:
 def cot_coefficient(m: int) -> Fraction:
     """Coefficient of z^m in z*cot(z), m even; odd indices are flagged."""
     if m < 0 or m % 2 == 1:
-        raise OddIndexError(f"cot coefficient expects even index, got {m}")
+        raise OddIndexError(f"cot coefficient expects a nonnegative even index, got {m}")
     k = m // 2
     return bernoulli(2 * k) * Fraction((-1) ** k * 2 ** (2 * k), factorial(2 * k))
 

@@ -85,6 +85,8 @@ class TruncatedSeries:
         return hash(self._coeffs)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         return TruncatedSeries(
             [self._coeffs[k] + other._coeffs[k] for k in range(n + 1)]
@@ -98,6 +100,8 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated to the smaller order."""
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         n = min(self.order, other.order) + 1
         return TruncatedSeries(cauchy_product(self._coeffs, other._coeffs, n))
 

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -54,6 +55,19 @@ class TestPolyForm:
             parse_series("poly 0 ratio 2")
         with pytest.raises(ExpressionSyntaxError):
             parse_series("poly n - n ratio 2")
+
+    @pytest.mark.parametrize("text, a, b, power, ratio", [
+        ("poly (n+1)^400 ratio 2", 1, 1, 400, 2),
+        ("poly (1/3n+1/2)^200 ratio 1/2", F(1, 2), F(1, 3), 200, F(1, 2)),
+        ("poly (2n-1)^60 ratio -1", -1, 2, 60, -1),
+    ], ids=["(n+1)^400", "(1/3n+1/2)^200", "(2n-1)^60"])
+    def test_large_power_of_a_binomial(self, text, a, b, power, ratio):
+        # (a + b n)^power, coefficient i is C(power, i) a^(power - i) b^i
+        coeffs = [comb(power, i) * a ** (power - i) * b ** i for i in range(power + 1)]
+        assert parse_series(text) == poly_exp_series(Polynomial(coeffs), ratio)
+
+    def test_zeroth_power_of_a_cancelled_sum_is_one(self):
+        assert parse_series("poly (n-n)^0 ratio 2") == poly_exp_series(Polynomial([1]), 2)
 
     def test_zero_ratio_rejected(self):
         with pytest.raises(ExpressionSyntaxError):
@@ -145,6 +159,7 @@ class TestErrors:
         ("poly n ratio -0", 13, ("a nonzero ratio",), "0"),
         ("sum 1", 0, ("'poly'", "'rec'"), "sum"),
         ("", 0, ("'poly'", "'rec'"), "end of input"),
+        ("poly (n-n)^2 ratio 2", 5, ("a nonzero polynomial",), "0"),
     ])
     def test_rejection_is_pinned(self, text, position, expected, found):
         with pytest.raises(ExpressionSyntaxError) as info:
@@ -197,7 +212,7 @@ class TestRoundTrip:
 
 # Seeded spellings for TestSpellingCorpus.  Each generator returns the text
 # with the value it denotes, computed on plain coefficient lists (lowest
-# degree first) rather than by the parser.  Exponents stay at most 3.
+# degree first) rather than by the parser.  Exponents are 0-3, 7 or 12.
 
 def _add(p, q):
     n = max(len(p), len(q))
@@ -223,7 +238,7 @@ def _space(rng):
 
 def _poly_factor(rng, depth):
     """A factor that starts with 'n' or '(' and its coefficient list."""
-    power = rng.randint(1, 3)
+    power = rng.choice((0, 1, 2, 3, 7, 12))
     if depth == 0 and rng.random() < 0.35:
         text, coeffs = _random_poly(rng, depth + 1)
         text = f"({_space(rng)}{text}{_space(rng)})"

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from divsum.polynomials import Polynomial, cauchy_product
 
 F = Fraction
@@ -24,6 +26,22 @@ class TestPolynomial:
         assert (p * p).coefficients == (F(1), F(2), F(1))
         assert (p ** 3).coefficients == (F(1), F(3), F(3), F(1))
         assert cauchy_product(p.coefficients, (p ** 3).coefficients, 3) == [1, 4, 6]
+
+    def test_powers_of_zero_and_zeroth_powers(self):
+        assert Polynomial([]) ** 0 == Polynomial([1])
+        assert Polynomial([]) ** 3 == Polynomial([])
+        assert Polynomial([F(2, 3), 5]) ** 0 == Polynomial([1])
+
+    def test_power_by_squaring_matches_repeated_product(self):
+        p = Polynomial([F(-1, 2), 0, 3, F(1, 7)])
+        product = Polynomial([1])
+        for e in range(14):
+            assert p ** e == product
+            product = product * p
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative polynomial power"):
+            Polynomial([1, 1]) ** -1
 
     def test_int_operands_give_ints(self):
         a, b = [3, 0, -2, 5], [1, 4, 0, -7, 2]

@@ -195,6 +195,14 @@ class TestTrigCoefficients:
         with pytest.raises(OddIndexError):
             cot_coefficient(3)
 
+    def test_index_messages_name_the_admitted_indices(self):
+        tan = r"^tan coefficient expects a positive odd index, got -1$"
+        with pytest.raises(EvenIndexError, match=tan):
+            tan_coefficient(-1)
+        cot = r"^cot coefficient expects a nonnegative even index, got -2$"
+        with pytest.raises(OddIndexError, match=cot):
+            cot_coefficient(-2)
+
     def test_tan_matches_product_series(self):
         tan = tangent_series(21)
         for m in range(1, 22, 2):

@@ -60,6 +60,13 @@ class TestArithmetic:
         # (1 + 2z + 3z^2)(4 + 5z + 6z^2) = 4 + 13z + 28z^2 + O(z^3)
         assert (f * g).coefficients == (F(4), F(13), F(28))
 
+    @pytest.mark.parametrize("spelling", [
+        lambda s: s + 1, lambda s: s - 1, lambda s: s * 2, lambda s: 2 * s,
+    ], ids=["s+1", "s-1", "s*2", "2*s"])
+    def test_non_series_operand_is_a_type_error(self, spelling):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            spelling(TruncatedSeries([1, 2]))
+
 
 def _fraction_reciprocal(coeffs):
     # The Fraction triangular recursion g_n = -(1/c_0) sum_{j=1..n} c_j g_{n-j},
