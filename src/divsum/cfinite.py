@@ -14,7 +14,11 @@ not an error.
 The exact kernels, the term generator among them, run in integers: a list
 of rationals is held as integer numerators over one common denominator, the
 lcm of theirs, every loop or recurrence step adds and multiplies ints, and
-each value or term that leaves a kernel is reduced to a Fraction once.
+each value or term that leaves a kernel is reduced to a Fraction once.  Each
+step is one dot product, ``sum(map(mul, ...))``: a recurrence step takes the
+coefficients against the window of terms, newest first, and a binomial sum
+takes a row of Pascal's triangle, stepped from the one before by additions,
+against the earlier values.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Optional
 
 from .polynomials import Polynomial, _append_over_lcm, _over_lcm, cauchy_product
@@ -88,10 +92,9 @@ class CFiniteSeries:
         over running lcm denominators, and each one is reduced once."""
         yield from self._initial
         rec, q_den = _over_lcm(self._recurrence)
-        taps = [(-j, c) for j, c in enumerate(rec, start=1) if c]
         window, den = _over_lcm(self._initial)
         while True:
-            value = Fraction(sum(c * window[j] for j, c in taps), q_den * den)
+            value = Fraction(sum(map(mul, rec, reversed(window))), q_den * den)
             yield value
             del window[0]
             den = _append_over_lcm(window, den, value)
@@ -331,15 +334,12 @@ def recursive_alternating_sum(k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    # S(0)..S(m-1) are integer numerators over a running common denominator
-    # and C(m, j) is walked along the row: each S(m) is reduced once.
-    value, nums, den = Fraction(1, 2), [1], 2
-    for m in range(1, k + 1):
-        s, c = 0, m
-        for j in range(1, m):
-            if nums[j]:
-                s += c * nums[j]
-            c = c * (m - j) // (j + 1)
-        value = Fraction(den - 2 * s, 4 * den)  # (1/2 - s/den) / 2
+    # S(0)..S(m-1) are int numerators over a running common denominator.  With
+    # S(0) = 1/2 folded in, 2*S(m) = 1 - sum_{j<m} C(m, j) S(j), the dot product
+    # with row m of Pascal's triangle; each S(m) is reduced once.
+    value, nums, den, row = Fraction(1, 2), [1], 2, [1]
+    for _ in range(k):
+        row = [1, *map(add, row, row[1:]), 1]
+        value = Fraction(den - sum(map(mul, row, nums)), 2 * den)  # (1 - sum/den) / 2
         den = _append_over_lcm(nums, den, value)
     return value

@@ -250,6 +250,9 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
+    # exact values may pass CPython's 4300-digit int-to-str limit: lift it here only
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run_command(sys.argv[1:]))
 
 

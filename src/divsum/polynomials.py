@@ -108,6 +108,8 @@ class Polynomial:
         return bool(self._coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -117,6 +119,8 @@ class Polynomial:
         return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
+from operator import add, mul
 
 from .polynomials import _append_over_lcm
 from .series import TruncatedSeries, known_series
@@ -114,30 +116,26 @@ class EulerTable:
 
 
 def _bernoulli_recurrence(n_max: int) -> list:
-    # sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1, solved for B_m.  B_0..B_{m-1}
-    # are held as integer numerators over one running common denominator, and
-    # C(m+1, k) is walked along the row, so the sum is in ints and each B_m
-    # is reduced once, when it is built.
-    values, nums, den = [Fraction(1)], [1], 1
+    # sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1, solved for B_m: the dot product
+    # of row m + 1 of Pascal's triangle, stepped from row m by additions, with
+    # B_0..B_{m-1}, held as integer numerators over one running common
+    # denominator.  The sum is in ints and each B_m is reduced once.
+    values, nums, den, row = [Fraction(1)], [1], 1, [1, 1]
     for m in range(1, n_max + 1):
-        s, c = 0, 1
-        for k, x in enumerate(nums):
-            if x:
-                s += c * x
-            c = c * (m + 1 - k) // (k + 1)
-        values.append(Fraction(-s, (m + 1) * den))
+        row = [1, *map(add, row, row[1:]), 1]
+        values.append(Fraction(-sum(map(mul, row, nums)), (m + 1) * den))
         den = _append_over_lcm(nums, den, values[m])
     return values
 
 
+def _times_factorials(series: TruncatedSeries) -> list:
+    # k! c_k for the coefficients c_k of series
+    factorials = accumulate(range(1, series.order + 1), mul, initial=1)
+    return list(map(mul, series.coefficients, factorials))
+
+
 def _bernoulli_series(n_max: int) -> list:
-    series = bernoulli_generating_series(n_max)
-    fact = 1
-    values = []
-    for k in range(n_max + 1):
-        values.append(series.coefficient(k) * fact)
-        fact *= k + 1
-    return values
+    return _times_factorials(bernoulli_generating_series(n_max))
 
 
 def _bernoulli_garabedian(n_max: int) -> list:
@@ -191,32 +189,24 @@ def bernoulli(n: int, method: str = "recurrence") -> Fraction:
 
 
 def _euler_recurrence(n_max: int) -> list:
-    # sum_{k=0}^{n} C(2n, 2k) (-1)^k E_{2k} = 0 for n >= 1, solved for E_{2n}
-    even = [1]
-    for n in range(1, n_max // 2 + 1):
-        acc, c = 0, 1  # c = C(2n, 2k)
-        for k, e in enumerate(even):
-            acc += -c * e if k & 1 else c * e
-            c = c * (2 * n - 2 * k) * (2 * n - 2 * k - 1) // ((2 * k + 1) * (2 * k + 2))
-        even.append(acc if n & 1 else -acc)
+    # sum_{k=0}^{n} C(2n, 2k) (-1)^k E_{2k} = 0 for n >= 1 is, with s_k = (-1)^k E_{2k},
+    # s_n = -sum_{k<n} C(2n, 2k) s_k: the even entries of Pascal's row 2n dotted with s.
+    s, row = [1], [1]
+    for _ in range(n_max // 2):
+        for _ in range(2):
+            row = [1, *map(add, row, row[1:]), 1]
+        s.append(-sum(map(mul, row[::2], s)))
     values = [0] * (n_max + 1)
-    for k, e in enumerate(even):
-        if 2 * k <= n_max:
-            values[2 * k] = e
+    values[::2] = [-x if k & 1 else x for k, x in enumerate(s)]
     return values
 
 
 def _euler_series(n_max: int) -> list:
-    series = secant_series(n_max)
-    values = []
-    fact = 1
-    for n in range(n_max + 1):
-        c = series.coefficient(n) * fact
+    values = _times_factorials(secant_series(n_max))
+    for n, c in enumerate(values):
         if c.denominator != 1:
             raise ArithmeticError(f"secant coefficient {n} did not clear to an integer")
-        values.append(int(c))
-        fact *= n + 1
-    return values
+    return [int(c) for c in values]
 
 
 _EULER_BUILDERS = {"recurrence": _euler_recurrence, "series": _euler_series}

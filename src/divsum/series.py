@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import Callable, Iterable
 
 from .polynomials import _append_over_lcm, cauchy_product
@@ -93,6 +94,8 @@ class TruncatedSeries:
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -113,8 +116,8 @@ class TruncatedSeries:
         integers: c_0..c_n are held as integer numerators C_j over the lcm of
         their denominators, and g_0..g_{n-1} as integer numerators G_k over
         the lcm L of theirs; both lcms grow as coefficients are appended.
-        Then g_n = -(sum C_j G_{n-j}) / (C_0 L), and each coefficient is
-        reduced once, when it is built.
+        Then g_n = -(sum C_j G_{n-j}) / (C_0 L), one dot product, and each
+        coefficient is reduced once, when it is built.
         """
         c = self._coeffs
         if c[0] == 0:
@@ -124,7 +127,7 @@ class TruncatedSeries:
         c_nums, c_den, g_nums, g_den, out = [], 1, [], 1, []
         for n, x in enumerate(c):
             c_den = _append_over_lcm(c_nums, c_den, x)
-            s = sum(c_nums[j] * g_nums[n - j] for j in range(1, n + 1) if c_nums[j])
+            s = sum(map(mul, c_nums[1:], reversed(g_nums)))
             out.append(Fraction(-s, c_nums[0] * g_den) if n else 1 / x)
             g_den = _append_over_lcm(g_nums, g_den, out[n])
         return TruncatedSeries(out)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,18 @@ class TestPolynomial:
         p = Polynomial([1, 2])
         assert (p * F(1, 2)).coefficients == (F(1, 2), F(1))
         assert (3 * p).coefficients == (F(3), F(6))
+
+    @pytest.mark.parametrize("spelling, message", [
+        (lambda p: p + 1, "for +: 'Polynomial' and 'int'"),
+        (lambda p: p - 1, "for -: 'Polynomial' and 'int'"),
+        (lambda p: 1 + p, "for +: 'int' and 'Polynomial'"),
+        (lambda p: 1 - p, "for -: 'int' and 'Polynomial'"),
+        (lambda p: p - F(1, 2), "for -: 'Polynomial' and 'Fraction'"),
+    ], ids=["p+1", "p-1", "1+p", "1-p", "p-1/2"])
+    def test_non_polynomial_operand_is_a_type_error(self, spelling, message):
+        # only * takes a scalar (test_scalar_multiplication)
+        with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) {message}")):
+            spelling(Polynomial([1, 2]))
 
     def test_evaluate_horner(self):
         p = Polynomial([5, -3, 2])  # 5 - 3x + 2x^2

@@ -4,6 +4,8 @@ import pytest
 
 from divsum.cfinite import axiomatic_sum, odd_alternating_series
 from divsum.sequences import (
+    BERNOULLI_METHODS,
+    EULER_METHODS,
     BernoulliTable,
     EulerTable,
     EvenIndexError,
@@ -80,6 +82,13 @@ class TestBernoulli:
         values = bernoulli_table(n_max, "garabedian").values
         assert list(values) == garabedian_by_differences(n_max)
 
+    @pytest.mark.parametrize("n_max", range(8))
+    def test_methods_agree_at_small_tables(self, n_max):
+        # n_max = 0 and 1 run the row loops zero times or once
+        expected = (F(1), F(-1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42), 0)[: n_max + 1]
+        for method in BERNOULLI_METHODS:
+            assert bernoulli_table(n_max, method).values == expected
+
     def test_garabedian_agrees_at_400(self):
         assert bernoulli_table(400, "garabedian").values == bernoulli_table(400).values
 
@@ -127,6 +136,13 @@ class TestEuler:
 
     def test_methods_agree(self):
         assert euler_table(20, "series").values == euler_table(20, "recurrence").values
+
+    @pytest.mark.parametrize("n_max", range(8))
+    def test_methods_agree_at_small_tables(self, n_max):
+        # an odd n_max ends the table on a zero past the last even index
+        expected = (1, 0, 1, 0, 5, 0, 61, 0)[: n_max + 1]
+        for method in EULER_METHODS:
+            assert euler_table(n_max, method).values == expected
 
     def test_methods_agree_at_600(self):
         assert euler_table(600, "series").values == euler_table(600).values

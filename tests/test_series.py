@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,11 +61,14 @@ class TestArithmetic:
         # (1 + 2z + 3z^2)(4 + 5z + 6z^2) = 4 + 13z + 28z^2 + O(z^3)
         assert (f * g).coefficients == (F(4), F(13), F(28))
 
-    @pytest.mark.parametrize("spelling", [
-        lambda s: s + 1, lambda s: s - 1, lambda s: s * 2, lambda s: 2 * s,
+    @pytest.mark.parametrize("spelling, message", [
+        (lambda s: s + 1, "for +: 'TruncatedSeries' and 'int'"),
+        (lambda s: s - 1, "for -: 'TruncatedSeries' and 'int'"),
+        (lambda s: s * 2, "for *: 'TruncatedSeries' and 'int'"),
+        (lambda s: 2 * s, "for *: 'int' and 'TruncatedSeries'"),
     ], ids=["s+1", "s-1", "s*2", "2*s"])
-    def test_non_series_operand_is_a_type_error(self, spelling):
-        with pytest.raises(TypeError, match="unsupported operand"):
+    def test_non_series_operand_is_a_type_error(self, spelling, message):
+        with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) {message}")):
             spelling(TruncatedSeries([1, 2]))
 
 
