@@ -5,6 +5,14 @@ are the coefficients E_n/n! of sec(z) (so E_0 = 1, E_2 = 1, E_4 = 5, odd
 indices vanish).  Each sequence is computed by more than one method and the
 methods must agree exactly; the verify_* functions check the closed-form
 identities tying these numbers to sums of divergent alternating series.
+
+The checks read the weighted values T(k) = (2^(k+1) - 1)/(k+1) B_{k+1} from
+the integer tangent numbers of Brent & Harvey (2011, arXiv:1108.0286), never
+from a Bernoulli table, and sum each side in ints over one denominator.  eq4
+checks the weights' own binomial recursion and prop2 ties them to finite
+power sums; eq6, eq7 and mixed tie them to the Euler recurrence table.
+weighted_bernoulli reads T(k) from the Bernoulli table, an independent route
+to the same values.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial
+from math import factorial
 from operator import add, mul
 
 from .polynomials import _append_over_lcm
@@ -228,15 +236,46 @@ def euler(n: int, method: str = "recurrence") -> int:
     return euler_table(n, method).values[n]
 
 
-def _weighted(b, j: int) -> Fraction:
-    # T(j) read from a Bernoulli table b that holds B_0..B_{j+1}.
-    return Fraction(1, 2) if j == 0 else Fraction(2 ** (j + 1) - 1, j + 1) * b[j + 1]
+def _tangent_numbers(n: int) -> list:
+    # Tan_1..Tan_n, where tan(z) = sum_m Tan_m z^(2m-1)/(2m-1)!, by Brent and
+    # Harvey's TangentNumbers (arXiv:1108.0286): in place on one int list,
+    # small-by-big multiply-adds only.
+    t = [1] * (n + 1)  # t[0] is unused
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
 
-def _weighted_values(k: int) -> list:
-    # [T(0), ..., T(k)] read from the one table B_0..B_{k+1}.
-    b = bernoulli_table(k + 1).values
-    return [_weighted(b, j) for j in range(k + 1)]
+def _tangent_weights(k: int) -> tuple:
+    # (W, D) with W_j = D T(j) for j = 0..k over D = 2 * 4^M, M = ceil(k/2):
+    # T(0) = 1/2, T(2m-1) = (-1)^(m-1) Tan_m / 4^m and T(2m) = 0 for m >= 1.
+    big_m = (k + 1) // 2
+    w = [0] * (k + 1)
+    w[0] = 1 << 2 * big_m
+    w[1::2] = [(t if m & 1 else -t) << 2 * (big_m - m) + 1
+               for m, t in enumerate(_tangent_numbers(big_m), 1)]
+    return w, 2 << 2 * big_m
+
+
+def _binomial_sum(w: list, x: int = 1, y: int = 1) -> int:
+    # sum_{j=0}^{k} C(k, j) x^(k-j) y^j w[j], k = len(w) - 1, by Horner in x; the
+    # binomial and y^j step from one term to the next.  w[j] leads each
+    # product, so the zero entries cost no big multiply.
+    k = len(w) - 1
+    acc, c, y_j = 0, 1, 1
+    for j, w_j in enumerate(w):
+        acc = acc * x + w_j * c * y_j
+        c = c * (k - j) // (j + 1)
+        y_j *= y
+    return acc
+
+
+def _signed_euler(k: int) -> list:
+    # (-1)^floor(j/2) E_j for j = 0..k, from the one table E_0..E_k.
+    return [-e if j & 2 else e for j, e in enumerate(euler_table(k).values)]
 
 
 def weighted_bernoulli(k: int) -> Fraction:
@@ -247,7 +286,9 @@ def weighted_bernoulli(k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    return _weighted(bernoulli_table(k + 1).values, k)
+    if k == 0:
+        return Fraction(1, 2)
+    return Fraction(2 ** (k + 1) - 1, k + 1) * bernoulli_table(k + 1).values[k + 1]
 
 
 def odd_alternating_value(k: int) -> Fraction:
@@ -262,8 +303,7 @@ def tan_coefficient(m: int) -> Fraction:
     if m < 1 or m % 2 == 0:
         raise EvenIndexError(f"tan coefficient expects a positive odd index, got {m}")
     n = (m + 1) // 2
-    sign = (-1) ** (n + 1)
-    return Fraction(sign * 2 ** (2 * n) * (2 ** (2 * n) - 1), factorial(2 * n)) * bernoulli(2 * n)
+    return Fraction(_tangent_numbers(n)[-1], factorial(m))
 
 
 def cot_coefficient(m: int) -> Fraction:
@@ -317,11 +357,9 @@ def verify_weighted_recursion(k: int) -> VerificationReport:
     """Check T(k) = 1/2 - sum_{l=1}^{k} C(k, l) T(l), exactly."""
     if k < 1:
         raise ValueError("index must be positive")
-    t = _weighted_values(k)
-    rhs = Fraction(1, 2)
-    for l in range(1, k + 1):
-        rhs -= comb(k, l) * t[l]
-    return _checked("eq4", {"k": k}, t[k], rhs)
+    w, d = _tangent_weights(k)
+    # W_0 = D/2, so D/2 - sum_{l>=1} is D - sum_{l>=0}
+    return _checked("eq4", {"k": k}, Fraction(w[k], d), Fraction(d - _binomial_sum(w), d))
 
 
 def verify_peeled_recursion(a: int, k: int) -> VerificationReport:
@@ -332,16 +370,12 @@ def verify_peeled_recursion(a: int, k: int) -> VerificationReport:
     """
     if a < 1 or k < 1:
         raise ValueError("both parameters must be positive integers")
-    t = _weighted_values(k)
-    rhs = Fraction(0)
-    for n in range(a):
-        rhs += Fraction((-1) ** n * (n + 1) ** k)
-    rhs += Fraction((-1) ** a * a ** k, 2)
-    tail = Fraction(0)
-    for j in range(1, k + 1):
-        tail += comb(k, j) * a ** (k - j) * t[j]
-    rhs += (-1) ** a * tail
-    return _checked("prop2", {"a": a, "k": k}, t[k], rhs)
+    w, d = _tangent_weights(k)
+    head = sum((-1) ** n * (n + 1) ** k for n in range(a))
+    # W_0 = D/2 carries the a^k/2 term as the j = 0 term of the sum
+    tail = _binomial_sum(w, a)
+    rhs = Fraction(d * head + (-tail if a & 1 else tail), d)
+    return _checked("prop2", {"a": a, "k": k}, Fraction(w[k], d), rhs)
 
 
 def verify_odd_split(k: int) -> VerificationReport:
@@ -352,10 +386,8 @@ def verify_odd_split(k: int) -> VerificationReport:
     """
     if k < 1:
         raise ValueError("index must be positive")
-    t = _weighted_values(k)
-    lhs = Fraction(0)
-    for j in range(1, k + 1):
-        lhs += comb(k, j) * 2 ** j * t[j]
+    w, d = _tangent_weights(k)
+    lhs = Fraction(_binomial_sum(w, 1, 2) - w[0], d)  # the sum starts at j = 1
     rhs = Fraction(1, 2) - odd_alternating_value(k)
     return _checked("eq6", {"k": k}, lhs, rhs)
 
@@ -369,12 +401,9 @@ def verify_even_doubling(k: int) -> VerificationReport:
     """
     if k < 1:
         raise ValueError("index must be positive")
-    lhs = 2 ** (k + 1) * weighted_bernoulli(k)
-    e = euler_table(k).values
-    rhs = Fraction(0)
-    for j in range(k + 1):
-        rhs += comb(k, j) * (-1) ** (j // 2) * e[j]
-    return _checked("eq7", {"k": k}, lhs, rhs)
+    w, d = _tangent_weights(k)
+    lhs = Fraction(w[k] << k + 1, d)
+    return _checked("eq7", {"k": k}, lhs, Fraction(_binomial_sum(_signed_euler(k))))
 
 
 def verify_affine_relation(a, q, k: int) -> VerificationReport:
@@ -388,21 +417,13 @@ def verify_affine_relation(a, q, k: int) -> VerificationReport:
         raise ValueError("parameter a must be positive")
     if k < 1:
         raise ValueError("index must be positive")
-    t = _weighted_values(k)
-    lhs = q ** k / 2
-    for j in range(1, k + 1):
-        lhs -= comb(k, j) * q ** (k - j) * a ** j * t[j]
-    e = euler_table(k).values
-    rhs = Fraction(0)
-    half_a = a / 2
-    for j in range(k + 1):
-        rhs += (
-            comb(k, j)
-            * (half_a - q) ** (k - j)
-            * half_a ** j
-            * (-1) ** (j // 2)
-            * e[j]
-        )
-    rhs *= Fraction((-1) ** k, 2)
+    # a = u/v and q = p/s; the left side times D (sv)^k has the bases pv and
+    # us, and W_0 = D/2 turns q^k/2 - sum_{j>=1} into (pv)^k D - sum_{j>=0}.
+    # The right side is over 2 (2vs)^k: a/2 - q = (us - 2pv)/(2vs), a/2 = us/(2vs).
+    u, v, p, s = a.numerator, a.denominator, q.numerator, q.denominator
+    w, d = _tangent_weights(k)
+    lhs = Fraction((p * v) ** k * d - _binomial_sum(w, p * v, u * s), d * (s * v) ** k)
+    rhs = _binomial_sum(_signed_euler(k), u * s - 2 * p * v, u * s)
+    rhs = Fraction(-rhs if k & 1 else rhs, (v * s) ** k << k + 1)
     params = {"a": str(a), "q": str(q), "k": k}
     return _checked("mixed", params, lhs, rhs)

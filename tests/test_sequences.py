@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
+from divsum import sequences
 from divsum.cfinite import axiomatic_sum, odd_alternating_series
 from divsum.sequences import (
     BERNOULLI_METHODS,
@@ -12,7 +15,8 @@ from divsum.sequences import (
     IdentityViolation,
     OddIndexError,
     _checked,
-    _weighted_values,
+    _tangent_numbers,
+    _tangent_weights,
     bernoulli,
     bernoulli_generating_series,
     bernoulli_table,
@@ -60,6 +64,88 @@ def garabedian_by_differences(n_max):
         total = sum(inner << (n - i) for i, inner in enumerate(d))  # over 2^(n+1)
         values.append(F(m * total, (2 ** m - 1) * 2 ** m))
     return values
+
+
+def reference_weights(k):
+    """T(0..k) as Fractions from one Bernoulli table, by the defining formula."""
+    b = bernoulli_table(k + 1).values
+    return [F(1, 2)] + [F(2 ** (j + 1) - 1, j + 1) * b[j + 1] for j in range(1, k + 1)]
+
+
+# The five checks as Fraction sums, one term at a time, over given weights
+# t = T(0..k) and Euler numbers e = E_0..E_k: the formulas that the integer
+# sums of divsum.sequences replaced, kept as oracles.  Each returns (lhs, rhs)
+# and takes the verifier's own arguments after t and e.
+def eq4_oracle(t, e, k):
+    rhs = F(1, 2)
+    for l in range(1, k + 1):
+        rhs -= comb(k, l) * t[l]
+    return t[k], rhs
+
+
+def prop2_oracle(t, e, a, k):
+    rhs = F(0)
+    for n in range(a):
+        rhs += F((-1) ** n * (n + 1) ** k)
+    rhs += F((-1) ** a * a ** k, 2)
+    tail = F(0)
+    for j in range(1, k + 1):
+        tail += comb(k, j) * a ** (k - j) * t[j]
+    return t[k], rhs + (-1) ** a * tail
+
+
+def eq6_oracle(t, e, k):
+    lhs = F(0)
+    for j in range(1, k + 1):
+        lhs += comb(k, j) * 2 ** j * t[j]
+    return lhs, F(1, 2) - F((-1) ** (k // 2) * e[k], 2)
+
+
+def eq7_oracle(t, e, k):
+    rhs = F(0)
+    for j in range(k + 1):
+        rhs += comb(k, j) * (-1) ** (j // 2) * e[j]
+    return 2 ** (k + 1) * t[k], rhs
+
+
+def mixed_oracle(t, e, a, q, k):
+    a, q = F(a), F(q)
+    lhs = q ** k / 2
+    for j in range(1, k + 1):
+        lhs -= comb(k, j) * q ** (k - j) * a ** j * t[j]
+    half_a = a / 2
+    rhs = F(0)
+    for j in range(k + 1):
+        rhs += comb(k, j) * (half_a - q) ** (k - j) * half_a ** j * (-1) ** (j // 2) * e[j]
+    return lhs, rhs * F((-1) ** k, 2)
+
+
+ORACLES = {
+    "eq4": (verify_weighted_recursion, eq4_oracle),
+    "prop2": (verify_peeled_recursion, prop2_oracle),
+    "eq6": (verify_odd_split, eq6_oracle),
+    "eq7": (verify_even_doubling, eq7_oracle),
+    "mixed": (verify_affine_relation, mixed_oracle),
+}
+
+
+def oracle_grid():
+    """Seeded (identity, args) cases, k up to 120; mixed takes q = 0,
+    negative q and fractional a at fixed and at drawn k."""
+    rng = random.Random(1108)
+    cases = []
+    for k in [1, 2, 3, 4, 5, 120] + sorted(rng.sample(range(6, 120), 10)):
+        cases += [("eq4", (k,)), ("eq6", (k,)), ("eq7", (k,)), ("prop2", (rng.randint(1, 7), k))]
+        a = F(rng.randint(1, 9), rng.choice((1, 2, 3, 5)))
+        q = F(rng.randint(-9, 9), rng.choice((1, 2, 4, 7)))
+        cases.append(("mixed", (a, q, k)))
+    for k in (1, 2, 7, 120):
+        for a, q in ((F(1, 2), F(0)), (F(7, 3), F(-5, 4)), (F(2), F(-3)), (F(5, 6), F(1, 3))):
+            cases.append(("mixed", (a, q, k)))
+    return cases
+
+
+ORACLE_GRID = oracle_grid()
 
 
 class TestBernoulli:
@@ -174,7 +260,8 @@ class TestWeightedValues:
 
     def test_weighted_bernoulli_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
-        values = _weighted_values(200)
+        w, d = _tangent_weights(200)
+        values = [F(x, d) for x in w]
         assert values[0] == F(1, 2)
         for k in range(1, 201):
             b = sympy.bernoulli(k + 1)  # n >= 2, where sympy's sign convention agrees
@@ -218,6 +305,18 @@ class TestTrigCoefficients:
         cot = r"^cot coefficient expects a nonnegative even index, got -2$"
         with pytest.raises(OddIndexError, match=cot):
             cot_coefficient(-2)
+
+    def test_tan_matches_the_bernoulli_formula(self):
+        # the formula tan_coefficient used before it read tangent numbers
+        for m in range(1, 62, 2):
+            n = (m + 1) // 2
+            old = F((-1) ** (n + 1) * 4 ** n * (4 ** n - 1), factorial(2 * n)) * bernoulli(2 * n)
+            assert tan_coefficient(m) == old, m
+
+    def test_tan_matches_product_series_at_61(self):
+        tan = tangent_series(61)
+        for m in range(1, 62, 2):
+            assert tan_coefficient(m) == tan.coefficient(m), m
 
     def test_tan_matches_product_series(self):
         tan = tangent_series(21)
@@ -320,7 +419,8 @@ class TestVerifiers:
         bernoulli_table.cache_clear()
         euler_table.cache_clear()
         assert IDENTITY_CHECKS[identity](60).holds
-        assert bernoulli_table.cache_info().misses == 1
+        # the weights come from tangent numbers, not from a Bernoulli table
+        assert bernoulli_table.cache_info().misses == 0
         assert euler_table.cache_info().misses <= 1
 
     def test_affine_requires_positive_a(self):
@@ -350,3 +450,73 @@ class TestVerifiers:
             "rhs": "1",
             "holds": True,
         }
+
+
+class TestTangentRoutes:
+    def test_tangent_numbers(self):
+        assert _tangent_numbers(0) == []
+        assert _tangent_numbers(1) == [1]
+        assert _tangent_numbers(6) == [1, 2, 16, 272, 7936, 353792]
+
+    def test_tangent_numbers_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        tan = _tangent_numbers(500)
+        for n in (2, 97, 250, 500):
+            # Tan_n = (-1)^(n-1) 4^n (4^n - 1) B_2n / (2n)
+            b = sympy.bernoulli(2 * n)
+            expected = F((-1) ** (n - 1) * 4 ** n * (4 ** n - 1) * int(b.p), 2 * n * int(b.q))
+            assert tan[n - 1] == expected, n
+
+    def test_weights_match_weighted_bernoulli(self, monkeypatch):
+        # weighted_bernoulli(j) reads B_{j+1} from bernoulli_table(j + 1); serve
+        # every call from the one table B_0..B_401, which holds each of them,
+        # instead of building 401 tables.
+        table = bernoulli_table(401)
+        monkeypatch.setattr(sequences, "bernoulli_table", lambda n_max, method="recurrence": table)
+        w, d = _tangent_weights(400)
+        assert d == 2 * 4 ** 200
+        for j in range(401):
+            assert F(w[j], d) == weighted_bernoulli(j), j
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_weights_over_their_own_denominator(self, k):
+        w, d = _tangent_weights(k)
+        assert len(w) == k + 1
+        assert d == 2 * 4 ** ((k + 1) // 2)
+        assert [F(x, d) for x in w] == reference_weights(k)
+
+
+def _case_id(case):
+    identity, args = case
+    return f"{identity}-" + "-".join(map(str, args)).replace("/", "_")
+
+
+class TestIntegerChecksMatchFractionOracles:
+    @pytest.mark.parametrize("case", ORACLE_GRID, ids=_case_id)
+    def test_same_sides_as_the_oracle(self, case):
+        identity, args = case
+        verifier, oracle = ORACLES[identity]
+        report = verifier(*args)
+        t = reference_weights(args[-1])
+        assert (report.lhs, report.rhs) == oracle(t, euler_table(args[-1]).values, *args)
+        assert report.holds
+
+    @pytest.mark.parametrize("case", ORACLE_GRID, ids=_case_id)
+    def test_same_report_with_a_corrupted_weight(self, case, monkeypatch):
+        # one more than the last tangent number breaks the odd weight T(2M - 1);
+        # the report, violated or not, must carry the oracle's two sides
+        identity, args = case
+        k = args[-1]
+        verifier, oracle = ORACLES[identity]
+        real = _tangent_numbers
+        monkeypatch.setattr(sequences, "_tangent_numbers", lambda n: [*real(n)[:-1], real(n)[-1] + 1])
+        tan = sequences._tangent_numbers((k + 1) // 2)
+        t = [F(1, 2)] + [F(0)] * k
+        for m, x in enumerate(tan, 1):
+            t[2 * m - 1] = F((-1) ** (m - 1) * x, 4 ** m)
+        lhs, rhs = oracle(t, euler_table(k).values, *args)
+        try:
+            report = verifier(*args)
+        except IdentityViolation as exc:
+            report = exc.report
+        assert (report.lhs, report.rhs, report.holds) == (lhs, rhs, lhs == rhs)
