@@ -310,8 +310,11 @@ def cot_coefficient(m: int) -> Fraction:
     """Coefficient of z^m in z*cot(z), m even; odd indices are flagged."""
     if m < 0 or m % 2 == 1:
         raise OddIndexError(f"cot coefficient expects a nonnegative even index, got {m}")
-    k = m // 2
-    return bernoulli(2 * k) * Fraction((-1) ** k * 2 ** (2 * k), factorial(2 * k))
+    # (-1)^k 4^k B_2k / (2k)! at m = 2k; B_2k = (-1)^(k-1) 2k Tan_k / (4^k (4^k - 1))
+    # makes it -2k Tan_k / ((4^k - 1) (2k)!) for k >= 1.
+    if m == 0:
+        return Fraction(1)
+    return Fraction(-m * _tangent_numbers(m // 2)[-1], ((1 << m) - 1) * factorial(m))
 
 
 def bernoulli_generating_series(order: int) -> TruncatedSeries:

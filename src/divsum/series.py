@@ -4,13 +4,19 @@ A :class:`TruncatedSeries` stores coefficients c_0..c_N of
 ``sum c_k z^k + O(z^(N+1))``.  All arithmetic truncates to the smaller
 operand order; nothing is ever padded silently.  Coefficients are exact
 Fractions, so equality of series is exact equality of coefficient lists.
+
+The reciprocal, which the series routes to the Bernoulli and Euler numbers
+invert, runs in integers.  Each step's sum over the coefficients c_j is
+taken by Horner over the ratios rho_j = V_j / V_{j-1} of the running lcm
+V_j of their denominators, with c_j entering as the integer k_j = c_j V_j.
+For the catalogue series both are small, so every product in the sum is a
+big integer by a small one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from operator import mul
+from math import factorial, gcd
 from typing import Callable, Iterable
 
 from .polynomials import _append_over_lcm, cauchy_product
@@ -113,22 +119,37 @@ class TruncatedSeries:
 
         Uses the triangular recursion g_n = -(1/c_0) * sum_{j=1..n} c_j g_{n-j}
         with g_0 = 1/c_0; requires a nonzero constant term.  The sum runs in
-        integers: c_0..c_n are held as integer numerators C_j over the lcm of
-        their denominators, and g_0..g_{n-1} as integer numerators G_k over
-        the lcm L of theirs; both lcms grow as coefficients are appended.
-        Then g_n = -(sum C_j G_{n-j}) / (C_0 L), one dot product, and each
-        coefficient is reduced once, when it is built.
+        integers.  g_0..g_{n-1} are held as integer numerators G_k over the
+        lcm L of their denominators, which grows as coefficients are
+        appended.  On the c side, with V_n the lcm of the denominators of
+        c_0..c_n, the ints rho_n = V_n / V_{n-1} and k_j = c_j V_j are found
+        once; then c_j V_n = k_j rho_{j+1} ... rho_n, so the sum
+        S_n = sum_{j=1..n} (c_j V_n) G_{n-j} is taken by Horner over the
+        rhos, acc -> acc * rho_j + k_j G_{n-j} for j = 1..n, and
+        g_n = -S_n / (c_0 V_n L) with c_0 V_n = k_0 rho_1 ... rho_n.  Where
+        the k and rho are small, as for the catalogue series, every product
+        is big by small.  Each coefficient is reduced once, when it is built.
         """
         c = self._coeffs
         if c[0] == 0:
             raise NonInvertibleSeriesError(
                 "series with zero constant term has no reciprocal"
             )
-        c_nums, c_den, g_nums, g_den, out = [], 1, [], 1, []
-        for n, x in enumerate(c):
-            c_den = _append_over_lcm(c_nums, c_den, x)
-            s = sum(map(mul, c_nums[1:], reversed(g_nums)))
-            out.append(Fraction(-s, c_nums[0] * g_den) if n else 1 / x)
+        rho, k, v = [], [], 1
+        for x in c:
+            r = x.denominator // gcd(v, x.denominator)
+            v *= r
+            rho.append(r)
+            k.append(x.numerator * (v // x.denominator))
+        rho_1, k_1 = rho[1:], k[1:]
+        den, out = k[0], [1 / c[0]]
+        g_nums, g_den = [out[0].numerator], out[0].denominator
+        for n in range(1, len(c)):
+            den *= rho[n]
+            acc = 0
+            for r, x, g in zip(rho_1, k_1, reversed(g_nums)):
+                acc = acc * r + x * g
+            out.append(Fraction(-acc, den * g_den))
             g_den = _append_over_lcm(g_nums, g_den, out[n])
         return TruncatedSeries(out)
 

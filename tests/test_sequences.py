@@ -324,6 +324,19 @@ class TestTrigCoefficients:
             assert tan.coefficient(m) == tan_coefficient(m)
         assert all(tan.coefficient(m) == 0 for m in range(0, 22, 2))
 
+    def test_cot_matches_the_bernoulli_formula(self):
+        # the formula cot_coefficient used before it read tangent numbers
+        b = bernoulli_table(120).values
+        for m in range(0, 121, 2):
+            k = m // 2
+            old = b[m] * F((-1) ** k * 2 ** m, factorial(m))
+            assert cot_coefficient(m) == old, m
+
+    def test_cot_matches_transformed_series_at_61(self):
+        cot = cotangent_series(61)
+        for m in range(0, 62, 2):
+            assert cot_coefficient(m) == cot.coefficient(m), m
+
     def test_cot_matches_transformed_series(self):
         cot = cotangent_series(20)
         for m in range(0, 21, 2):

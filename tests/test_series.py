@@ -140,6 +140,40 @@ class TestReciprocal:
         assert g.coefficients == _fraction_reciprocal(f.coefficients)
         assert f * g == TruncatedSeries.one(f.order)
 
+    @pytest.mark.parametrize("coeffs", [
+        # the denominators 2 and 3 already divide the lcm 6 of 1/3 and 1/6: rho = 1
+        [1, F(1, 3), F(1, 6), F(1, 2), F(5, 3)],
+        # every denominator divides the first one's: rho = 1 after the constant term
+        [F(1, 60), F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(7, 10), F(1, 12)],
+        # a new prime power arrives late, after a long run of 2-power denominators
+        [1] + [F(1, 2 ** (j % 5)) for j in range(1, 30)] + [F(1, 101 ** 3), F(3, 8)],
+        # powers of one prime stepping up: rho = 3 at each step
+        [F(1, 3 ** j) for j in range(12)],
+        # zero runs inside, then a zero tail
+        [F(2, 3), 0, 0, 0, F(1, 5), 0, F(-1, 7), 0, 0, 0, 0, 0, 0],
+        # a zero tail right after the constant term
+        [F(-3, 4), 0, 0, 0, 0, 0],
+        # a fractional negative constant term and integer terms after it
+        [F(-5, 9), 2, -3, 4, 0, 7],
+        # a large integer constant term over the unit denominators
+        [10 ** 30, 1, -1, 1, -1],
+        # order 0 and order 1
+        [F(-7, 3)],
+        [F(-7, 3), F(11, 5)],
+    ], ids=["divides", "divides_first", "late_prime", "prime_powers", "zero_runs",
+            "zero_tail", "negative_fractional_c0", "big_c0", "order0", "order1"])
+    def test_matches_fraction_recursion_on_unusual_chains(self, coeffs):
+        f = TruncatedSeries(coeffs)
+        g = f.reciprocal()
+        assert g.coefficients == _fraction_reciprocal(f.coefficients)
+        assert f * g == TruncatedSeries.one(f.order)
+
+    @pytest.mark.parametrize("name", ["exp", "cos", "expm1_over_z"])
+    def test_matches_fraction_recursion_on_known_series(self, name):
+        full = _fraction_reciprocal(known_series(name, 40).coefficients)
+        for order in range(41):
+            assert known_series(name, order).reciprocal().coefficients == full[: order + 1]
+
     def test_zero_constant_term_rejected(self):
         with pytest.raises(NonInvertibleSeriesError):
             known_series("sin", 4).reciprocal()
