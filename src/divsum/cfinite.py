@@ -4,12 +4,13 @@ A :class:`CFiniteSeries` is a formal numerical series whose terms satisfy a
 fixed linear recurrence with constant rational coefficients.  Its generating
 function ``sum a_n x^n`` is a rational function P(x)/Q(x); the summation
 rules (regularity, peeling off the first term, linearity) force the sum of
-the series to be the value of P/Q at x = 1.  That value is read off the
-orders of vanishing of P and Q at 1 and their first nonzero Taylor
-coefficients there, without reducing P/Q.  When Q vanishes to a higher
-order than P, a pole survives at 1: no method obeying those rules can
-assign the series a finite value, and the pole order is reported as data,
-not an error.
+the series to be the value of P/Q at x = 1.  Applied d times they give
+S Q(1) = P(1) directly, and P(1) is read from Q and prefix sums of the
+initial terms, without forming P or reducing P/Q.  Where Q(1) = P(1) = 0,
+x - 1 is divided out of both and the rules are applied again.  Where
+Q(1) = 0 and P(1) != 0, a pole survives at 1: no method obeying those
+rules can assign the series a finite value, and the pole order is
+reported as data, not an error.
 
 The exact kernels, the term generator among them, run in integers: a list
 of rationals is held as integer numerators over one common denominator, the
@@ -267,62 +268,48 @@ def generating_function(series: CFiniteSeries) -> tuple[Polynomial, Polynomial]:
 
     Q(x) = 1 - c_1 x - ... - c_d x^d, so Q(0) = 1, and P(x) is Q times the
     initial-term polynomial, truncated below degree d.  Common factors of
-    P and Q are left in place.  Both are built in integers, over one
-    denominator each, and each coefficient is reduced once.
+    P and Q are left in place.  P is one integer Cauchy product over
+    q_den * a_den, and each coefficient is reduced once.
     """
-    (p, p_den), (q, q_den) = _integer_generating_function(series)
-    return (Polynomial(Fraction(x, p_den) for x in p),
+    (q, q_den), (a, a_den) = _integer_generating_function(series)
+    p = cauchy_product(q, a, series.order)
+    return (Polynomial(Fraction(x, q_den * a_den) for x in p),
             Polynomial(Fraction(x, q_den) for x in q))
 
 
 def _integer_generating_function(series: CFiniteSeries) -> tuple:
-    """(p, p_den), (q, q_den): integer coefficient lists with P = p / p_den
-    and Q = q / q_den.
-
-    Q is scaled by the lcm q_den of the recurrence denominators and the
-    initial terms by the lcm a_den of theirs, so p is one integer Cauchy
-    product over p_den = q_den * a_den.
-    """
+    """(q, q_den), (a, a_den): Q = q / q_den, scaled by the lcm of the
+    recurrence denominators, and the initial terms a / a_den, scaled by the
+    lcm of theirs."""
     c, q_den = _over_lcm(series.recurrence)
-    q = [q_den, *(-x for x in c)]
-    a, a_den = _over_lcm(series.initial)
-    return (cauchy_product(q, a, series.order), q_den * a_den), (q, q_den)
-
-
-def _order_at_one(a: list) -> tuple[int, int]:
-    """Order m of vanishing at x = 1 of the nonzero polynomial with integer
-    coefficients a, and the c with a(x) = c (x - 1)^m + O((x - 1)^(m + 1)).
-
-    The value at 1 is the coefficient sum.  While it is zero, a is divided
-    by x - 1 synthetically (the quotient's coefficients are the suffix sums
-    of a), and c is the value at 1 of the m-th quotient.
-    """
-    m = 0
-    while not (c := sum(a)):
-        a = list(accumulate(reversed(a[1:])))[::-1]
-        m += 1
-    return m, c
+    return ([q_den, *(-x for x in c)], q_den), _over_lcm(series.initial)
 
 
 def axiomatic_sum(series: CFiniteSeries) -> SummationOutcome:
     """Sum assigned by the summation rules, or the obstructing pole order.
 
-    With P/Q the generating function, the pole order at x = 1 is
-    m_Q - m_P when that is positive, m being the order of vanishing at 1;
-    factors of x - 1 common to P and Q cancel, so they never produce a
-    spurious non-summable verdict.  Otherwise the sum is the ratio of the
-    first nonzero Taylor coefficients at 1 when the orders match, and 0
-    when P vanishes to a higher order or is zero.  P and Q stay integers
-    over their two denominators, and the sum is one Fraction, reduced once.
+    Peeling off the first term d times and applying linearity gives
+    S Q(1) = P(1), and P(1) = sum_i q_i (a_0 + ... + a_(d-1-i)) needs only
+    prefix sums of the initial terms, so P is never formed.  If Q(1) != 0
+    the sum is P(1)/Q(1).  If Q(1) = 0 and P(1) != 0 there is a pole at
+    x = 1, of the order of vanishing of Q there: the number of synthetic
+    divisions of Q by x - 1 before Q(1) != 0.  If both vanish, x - 1
+    divides P and Q, and the terms obey the recurrence of Q/(x - 1): Q is
+    divided once and the rules are applied again.  The same prefix sums
+    serve, because the new P = A Q/(x - 1) has degree below d - 1.  All of
+    it is integer work over the two denominators, and the sum is one
+    Fraction, reduced once.
     """
-    (p, p_den), (q, q_den) = _integer_generating_function(series)
-    if not any(p):
-        return SummationOutcome.summable(0)
-    m_p, c_p = _order_at_one(p)
-    m_q, c_q = _order_at_one(q)
-    if m_q > m_p:
-        return SummationOutcome.not_summable(m_q - m_p)
-    return SummationOutcome.summable(Fraction(c_p * q_den, c_q * p_den) if m_p == m_q else 0)
+    (q, _), (a, a_den) = _integer_generating_function(series)
+    prefix = list(accumulate(a))[::-1]
+    pole = 0
+    while not (q_at_1 := sum(q)):
+        if pole or sum(map(mul, q, prefix)):
+            pole += 1
+        q = list(accumulate(reversed(q[1:])))[::-1]  # q / (x - 1): suffix sums
+    if pole:
+        return SummationOutcome.not_summable(pole)
+    return SummationOutcome.summable(Fraction(sum(map(mul, q, prefix)), q_at_1 * a_den))
 
 
 def recursive_alternating_sum(k: int) -> Fraction:

@@ -1,6 +1,7 @@
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 import pytest
@@ -22,7 +23,7 @@ from divsum.cfinite import (
     shift,
 )
 from divsum.polynomials import Polynomial
-from divsum.sequences import euler_table, weighted_bernoulli
+from divsum.sequences import _tangent_weights, euler_table, weighted_bernoulli
 
 F = Fraction
 
@@ -313,10 +314,20 @@ class TestIntegerKernel:
         assert poles == {1, 2, 3, 4}
         assert min(removable, zero_p, zero_coefficient, zero_initial, primes) > 0
 
+    def test_verdict_forms_no_p(self, monkeypatch):
+        def no_product(*args):
+            raise AssertionError("the verdict formed P")
+
+        monkeypatch.setattr(cfinite, "cauchy_product", no_product)
+        for s in kernel_corpus(random.Random(9), 150):
+            assert axiomatic_sum(s) == reference_sum(s)
+
     def test_large_k(self):
         assert axiomatic_sum(alternating_power_series(500)).value == weighted_bernoulli(500)
-        e = euler_table(300).values
-        for k in [*range(41), 300]:
+        w, d = _tangent_weights(999)
+        assert axiomatic_sum(alternating_power_series(999)).value == F(w[999], d)
+        e = euler_table(600).values
+        for k in [*range(41), 300, 600]:
             expected = F((-1) ** (k // 2) * e[k], 2) if k % 2 == 0 else 0
             assert axiomatic_sum(odd_alternating_series(k)).value == expected
 
@@ -449,16 +460,28 @@ class TestRuleProperties:
             return poly_exp_series(p, r)
 
     def test_translation_rule(self):
+        # the kernel corpus adds poles of order 1-4, removable factors at 1
+        # and P = 0; a pole keeps its order under the shift
         rng = random.Random(23)
-        for _ in range(25):
-            s = self._random_series(rng)
-            total = axiomatic_sum(s).value
-            assert axiomatic_sum(shift(s)).value == total - s.term(0)
+        corpus = [self._random_series(rng) for _ in range(25)]
+        poles = set()
+        for s in corpus + kernel_corpus(random.Random(31), 150):
+            outcome, shifted = axiomatic_sum(s), axiomatic_sum(shift(s))
+            if outcome.is_summable:
+                assert shifted.value == outcome.value - s.term(0)
+            else:
+                assert shifted.pole_order == outcome.pole_order
+                poles.add(outcome.pole_order)
+        assert {1, 2, 3, 4} <= poles
 
     def test_linearity_rule(self):
         rng = random.Random(29)
-        for _ in range(25):
-            s, t = self._random_series(rng), self._random_series(rng)
+        summable = [s for s in kernel_corpus(random.Random(37), 150)
+                    if axiomatic_sum(s).is_summable]
+        kernel_pairs = list(zip(summable[::2], summable[1::2]))
+        assert len(kernel_pairs) >= 30
+        random_pairs = ((self._random_series(rng), self._random_series(rng)) for _ in range(25))
+        for s, t in chain(random_pairs, kernel_pairs):
             alpha = F(rng.randint(-5, 5), rng.randint(1, 3))
             beta = F(rng.randint(-5, 5), rng.randint(1, 3))
             combined = axiomatic_sum(linear_combine(alpha, s, beta, t)).value
