@@ -25,7 +25,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, islice
 
-from .cfinite import CFiniteSeries, axiomatic_sum, characteristic_polynomial
+from .cfinite import CFiniteSeries, _integer_generating_function, axiomatic_sum
 
 __all__ = [
     "AbelNumericResult",
@@ -240,14 +240,18 @@ def abel_estimate(series: CFiniteSeries, grid_levels: int = _GRID_LEVELS) -> Abe
 
     Node values on the grid x_j = 1 - 2^-j, j >= 3, are extrapolated to
     h = 0; the error estimate is the difference of the last two
-    extrapolation columns.  A level j where the characteristic polynomial
-    vanishes at 1/x_j exactly puts its node on a pole of the series, so it
-    is skipped for the next level and the grid keeps ``grid_levels`` nodes.
+    extrapolation columns.  A level j where Q vanishes at x_j exactly puts
+    its node on a pole of the series, so it is skipped for the next level
+    and the grid keeps ``grid_levels`` nodes.  With Q's integer
+    coefficients q_i, Q(x_j) 2^(jd) = sum_i q_i (2^j - 1)^i 2^(j(d - i)) is
+    tested in ints.
     """
     if grid_levels < 3:
         raise ValueError("extrapolation needs at least 3 grid levels")
-    charpoly = characteristic_polynomial(series)
-    off_pole = (j for j in count(_FIRST_LEVEL) if charpoly.evaluate(Fraction(2 ** j, 2 ** j - 1)))
+    (q, _), _ = _integer_generating_function(series)
+    d = series.order
+    off_pole = (j for j in count(_FIRST_LEVEL)
+                if sum(c * (2 ** j - 1) ** i << j * (d - i) for i, c in enumerate(q)))
     terms, digits = _node_inputs(series)
     with localcontext() as ctx:
         ctx.prec = digits

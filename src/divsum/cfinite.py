@@ -19,15 +19,18 @@ each value or term that leaves a kernel is reduced to a Fraction once.  Each
 step is one dot product, ``sum(map(mul, ...))``: a recurrence step takes the
 coefficients against the window of terms, newest first, and a binomial sum
 takes a row of Pascal's triangle, stepped from the one before by additions,
-against the earlier values.
+against the earlier values.  A series p(n) r^n is built from values, not
+from p's coefficients: its closed-form values p(0), ..., p(d + 4) as ints
+over one denominator, taken by integer Horner steps for a general p and by
+int pow for (n + 1)^k and (2n + 1)^k, give the initial terms and check the
+recurrence of (x - r)^d, whose coefficients come from one binomial row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
-from math import comb
+from itertools import accumulate, islice, repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Optional
 
@@ -61,8 +64,9 @@ class CFiniteSeries:
     __slots__ = ("_recurrence", "_initial")
 
     def __init__(self, recurrence: Iterable, initial: Iterable):
-        rec = tuple(Fraction(c) for c in recurrence)
-        init = tuple(Fraction(a) for a in initial)
+        # a Fraction is immutable, so one passed in is kept, not copied
+        rec = tuple(c if type(c) is Fraction else Fraction(c) for c in recurrence)
+        init = tuple(a if type(a) is Fraction else Fraction(a) for a in initial)
         if not rec:
             raise ValueError("recurrence order must be at least 1")
         if len(rec) != len(init):
@@ -167,13 +171,11 @@ def poly_exp_series(polynomial, ratio) -> CFiniteSeries:
 
     The characteristic polynomial is (x - r)^(deg p + 1); signs of an
     alternating series are folded into r, keeping that factorisation pure.
-    The construction cross-checks the recurrence against the closed form
-    on the first d + 5 terms.  Both run in integers.  p is scaled by the lcm
-    of its denominators and evaluated by integer Horner steps, the powers
-    of the numerator and denominator of r are carried from term to term,
-    and each term is one Fraction, reduced once.  The check applies the
-    stored recurrence to the terms as integers over the lcms of their
-    denominators.
+    The series is built from the closed-form values p(0), ..., p(d + 4),
+    with d = deg p + 1: p is scaled by the lcm of its denominators and
+    evaluated by integer Horner steps, and the integer kernel builds the
+    recurrence and initial terms from those values and r, cross-checking
+    the recurrence against the closed form on the first d + 5 terms.
     """
     if not isinstance(polynomial, Polynomial):
         polynomial = Polynomial(polynomial)
@@ -182,40 +184,75 @@ def poly_exp_series(polynomial, ratio) -> CFiniteSeries:
     ratio = Fraction(ratio)
     if ratio == 0:
         raise ValueError("ratio must be nonzero")
-    d = polynomial.degree + 1
-    recurrence = [-comb(d, j) * (-ratio) ** j for j in range(1, d + 1)]
-    coeffs, den_n = _over_lcm(polynomial.coefficients)
-    closed, num_n = [], 1  # p(n) r^n = (sum coeffs[i] n^i) num_n / den_n
-    for n in range(d + 5):
+    coeffs, den = _over_lcm(polynomial.coefficients)
+    return _series_from_values(_horner_values(coeffs), den, ratio)
+
+
+def _horner_values(coeffs: list) -> list:
+    """The integer polynomial sum coeffs[i] n^i at n = 0, ..., len(coeffs) + 4,
+    each by integer Horner steps."""
+    values = []
+    for n in range(len(coeffs) + 5):
         value = 0
         for c in reversed(coeffs):
             value = value * n + c
-        closed.append(Fraction(value * num_n, den_n))
-        num_n *= ratio.numerator
-        den_n *= ratio.denominator
-    series = CFiniteSeries(recurrence, closed[:d])
-    rec, rec_den = _over_lcm(series.recurrence)
-    terms, _ = _over_lcm(closed)
-    if any(rec_den * terms[n] != sum(map(mul, rec, reversed(terms[n - d:n])))
+        values.append(value)
+    return values
+
+
+def _binomial_row(d: int) -> list:
+    """C(d, 0), ..., C(d, d), each stepped from the one before by one
+    multiplication and one exact division."""
+    row = [1]
+    for j in range(d):
+        row.append(row[-1] * (d - j) // (j + 1))
+    return row
+
+
+def _series_from_values(values: list, den: int, ratio: Fraction) -> CFiniteSeries:
+    """Series with terms p(n) * r^n, from the integer closed-form values
+    p(n) = values[n] / den at n = 0, ..., d + 4 and r = ratio = p / q.
+
+    The recurrence of (x - r)^d is c_j = -C(d, j) (-p)^j / q^j, from one
+    stepped binomial row and stepped powers of -p, one Fraction each.  The
+    d + 5 closed-form terms are integers over den * q^(d + 4), and the
+    numerators of the c_j over q^d check terms d to d + 4 by one dot
+    product each.  Each initial term is one Fraction, reduced once.
+    """
+    d = len(values) - 5
+    p, q = ratio.numerator, ratio.denominator
+    q_pow = list(accumulate(repeat(q, d + 4), mul, initial=1))  # q^0, ..., q^(d+4)
+    recurrence, rec, minus_p_j = [], [], 1
+    for j, b in enumerate(_binomial_row(d)[1:], start=1):
+        minus_p_j *= -p
+        c = -b * minus_p_j
+        recurrence.append(Fraction(c, q_pow[j]))
+        rec.append(c * q_pow[d - j])
+    initial, closed, p_n = [], [], 1
+    for n, v in enumerate(values):
+        x = v * p_n
+        if n < d:
+            initial.append(Fraction(x, den * q_pow[n]))
+        closed.append(x * q_pow[d + 4 - n])
+        p_n *= p
+    if any(q_pow[d] * closed[n] != sum(map(mul, rec, reversed(closed[n - d:n])))
            for n in range(d, d + 5)):
         raise ArithmeticError("recurrence disagrees with closed form")
-    return series
+    return CFiniteSeries(recurrence, initial)
 
 
 def alternating_power_series(k: int) -> CFiniteSeries:
     """The series 1^k - 2^k + 3^k - 4^k + ... (terms (n+1)^k * (-1)^n)."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    p = Polynomial([comb(k, j) for j in range(k + 1)])  # (n + 1)^k
-    return poly_exp_series(p, Fraction(-1))
+    return _series_from_values([(n + 1) ** k for n in range(k + 6)], 1, Fraction(-1))
 
 
 def odd_alternating_series(k: int) -> CFiniteSeries:
     """The series 1^k - 3^k + 5^k - ... (terms (2n+1)^k * (-1)^n)."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    p = Polynomial([comb(k, j) * 2 ** j for j in range(k + 1)])  # (2n + 1)^k
-    return poly_exp_series(p, Fraction(-1))
+    return _series_from_values([(2 * n + 1) ** k for n in range(k + 6)], 1, Fraction(-1))
 
 
 def geometric_series(ratio) -> CFiniteSeries:

@@ -19,7 +19,9 @@ largest lag.  Whitespace is insignificant.  ``2n`` and ``2*n`` both mean
 twice n, and parenthesised groups may carry integer powers, so
 ``poly (2n+1)^2 ratio -1`` is the alternating series of odd squares.
 A polynomial is read as integer coefficients over one denominator, so its
-sums, products and powers run in ints; each coefficient is reduced once.
+sums, products and powers run in ints; its values at n = 0, ..., deg + 5
+are taken by integer Horner steps and go to the C-finite kernel over that
+denominator, with no Fraction coefficient formed.
 Rejected input raises ``ExpressionSyntaxError`` with its position, or
 ``ArityMismatchError`` when the recurrence order and the initial-term count
 disagree.  A bad character is reported before any syntax error.
@@ -32,8 +34,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
 
-from .cfinite import CFiniteSeries, poly_exp_series
-from .polynomials import Polynomial, _power, cauchy_product
+from .cfinite import CFiniteSeries, _horner_values, _series_from_values
+from .polynomials import _power, cauchy_product
 
 __all__ = [
     "ArityMismatchError",
@@ -203,13 +205,12 @@ def parse_series(text: str) -> CFiniteSeries:
         parser.fail("'poly'", "'rec'")
     poly_pos = parser.position()
     nums, den = parser.polynomial()
-    polynomial = Polynomial(Fraction(x, den) for x in nums)
     parser.expect("name", "ratio", label="'ratio'")
     ratio_pos = parser.position()
     ratio = parser.rational(signed=True)
     parser.expect("end", label="end of input")
-    if polynomial.is_zero:
+    if not nums:
         raise ExpressionSyntaxError(poly_pos, ("a nonzero polynomial",), "0")
     if ratio == 0:
         raise ExpressionSyntaxError(ratio_pos, ("a nonzero ratio",), "0")
-    return poly_exp_series(polynomial, ratio)
+    return _series_from_values(_horner_values(nums), den, ratio)

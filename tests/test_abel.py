@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 
@@ -15,6 +17,7 @@ from divsum.cfinite import (
     CFiniteSeries,
     alternating_power_series,
     axiomatic_sum,
+    characteristic_polynomial,
     fibonacci_series,
     generating_function,
     geometric_series,
@@ -22,6 +25,7 @@ from divsum.cfinite import (
     odd_alternating_series,
     poly_exp_series,
 )
+from divsum.polynomials import Polynomial
 
 F = Fraction
 
@@ -272,6 +276,59 @@ def test_ratio_with_a_pole_on_the_grid(ratio, exact):
     assert report.passed
     assert report.exact == exact
     assert report.nodes == 10
+
+
+class TestPoleLevels:
+    """The integer test Q(x_j) != 0 skips the levels that the characteristic
+    polynomial, evaluated at 1/x_j in Fractions, skipped."""
+
+    @staticmethod
+    def levels(monkeypatch, series, grid_levels=abel._GRID_LEVELS):
+        """The levels j whose nodes x_j = 1 - 2^-j abel_estimate evaluates."""
+        levels = []
+
+        def record(terms, order, x_dec, digits):
+            levels.append((1 / (1 - F(x_dec))).numerator.bit_length() - 1)
+            return x_dec  # no pole signature: the values barely grow
+
+        monkeypatch.setattr(abel, "_node_value", record)
+        abel_estimate(series, grid_levels)
+        return levels
+
+    @staticmethod
+    def charpoly_levels(series, grid_levels=abel._GRID_LEVELS):
+        charpoly = characteristic_polynomial(series)
+        off_pole = (j for j in count(abel._FIRST_LEVEL)
+                    if charpoly.evaluate(F(2 ** j, 2 ** j - 1)))
+        return list(islice(off_pole, grid_levels))
+
+    @pytest.mark.parametrize("j", range(3, 13))
+    def test_resonant_ratios(self, monkeypatch, j):
+        expected = [i for i in range(3, 14) if i != j]
+        for p in ([1], [2, -1, F(1, 3)]):
+            series = poly_exp_series(p, F(2 ** j, 2 ** j - 1))
+            assert self.levels(monkeypatch, series) == self.charpoly_levels(series) == expected
+
+    def test_seeded_corpus(self, monkeypatch):
+        rng = random.Random(19)
+        skipped = 0
+        for _ in range(80):
+            # roots at 1/x_j for some levels j, with multiplicity, among
+            # random rationals, zero roots and roots at 1
+            roots = [F(2 ** j, 2 ** j - 1) for j in rng.choices(range(3, 16), k=rng.randint(0, 4))]
+            roots += [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 3))]
+            roots += [F(1)] * rng.randint(0, 1)
+            char = Polynomial([1])
+            for r in roots:
+                char = char * Polynomial([-r, 1])
+            d = char.degree
+            series = CFiniteSeries([-char.coefficient(d - i) for i in range(1, d + 1)],
+                                   [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)])
+            grid_levels = rng.randint(3, 12)
+            levels = self.levels(monkeypatch, series, grid_levels)
+            assert levels == self.charpoly_levels(series, grid_levels)
+            skipped += levels[-1] - abel._FIRST_LEVEL + 1 - grid_levels
+        assert skipped > 80
 
 
 def _assert_matches_oracle(series, oracle):

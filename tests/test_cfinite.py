@@ -22,6 +22,7 @@ from divsum.cfinite import (
     recursive_alternating_sum,
     shift,
 )
+from divsum.parsing import parse_series
 from divsum.polynomials import Polynomial
 from divsum.sequences import _tangent_weights, euler_table, weighted_bernoulli
 
@@ -81,9 +82,39 @@ class TestTerms:
 
     @pytest.mark.parametrize("p, r", [([1], 2), ([2, -1, F(1, 3)], F(-3, 2)), ([0, 0, 1], -1)])
     def test_wrong_recurrence_fails_the_closed_form_check(self, monkeypatch, p, r):
-        monkeypatch.setattr(cfinite, "comb", lambda n, k: comb(n, k) + (k == n))
+        corrupt_binomial_row(monkeypatch)
         with pytest.raises(ArithmeticError, match="recurrence disagrees with closed form"):
             poly_exp_series(p, r)
+
+    @pytest.mark.parametrize("build", [alternating_power_series, odd_alternating_series])
+    @pytest.mark.parametrize("k", [0, 1, 6, 41])
+    def test_wrong_recurrence_fails_the_check_on_the_pow_path(self, monkeypatch, build, k):
+        # the values (n+1)^k and (2n+1)^k come from int pow, not from Horner
+        corrupt_binomial_row(monkeypatch)
+        with pytest.raises(ArithmeticError, match="recurrence disagrees with closed form"):
+            build(k)
+
+
+    def test_wrong_recurrence_fails_the_check_on_the_parser_path(self, monkeypatch):
+        corrupt_binomial_row(monkeypatch)
+        with pytest.raises(ArithmeticError, match="recurrence disagrees with closed form"):
+            parse_series("poly (1/2 n + 1)^3 ratio -5/3")
+
+    def test_pow_values_match_horner_values(self):
+        # int pow and Horner over the binomial-coefficient polynomials give
+        # the same series: the same recurrence and the same initial terms
+        for k in [*range(81), 300]:
+            plus_one = Polynomial([comb(k, j) for j in range(k + 1)])  # (n + 1)^k
+            two_n_plus_one = Polynomial([comb(k, j) * 2 ** j for j in range(k + 1)])
+            assert alternating_power_series(k) == poly_exp_series(plus_one, -1)
+            assert odd_alternating_series(k) == poly_exp_series(two_n_plus_one, -1)
+
+
+def corrupt_binomial_row(monkeypatch):
+    """Make the kernel's binomial step return C(d, d) + 1 for C(d, d): the
+    recurrence it builds is then wrong in its last coefficient."""
+    row = cfinite._binomial_row
+    monkeypatch.setattr(cfinite, "_binomial_row", lambda d: [*row(d)[:-1], row(d)[-1] + 1])
 
 
 def reexpands(series, count):
@@ -324,8 +355,9 @@ class TestIntegerKernel:
 
     def test_large_k(self):
         assert axiomatic_sum(alternating_power_series(500)).value == weighted_bernoulli(500)
-        w, d = _tangent_weights(999)
-        assert axiomatic_sum(alternating_power_series(999)).value == F(w[999], d)
+        for k in (999, 1999):
+            w, d = _tangent_weights(k)
+            assert axiomatic_sum(alternating_power_series(k)).value == F(w[k], d)
         e = euler_table(600).values
         for k in [*range(41), 300, 600]:
             expected = F((-1) ** (k // 2) * e[k], 2) if k % 2 == 0 else 0
