@@ -162,10 +162,7 @@ def _node_value(terms: list[Decimal], order: int, x_dec: Decimal, digits: int) -
     for attempt in range(3):
         # sparse terms leave fewer sums: then the windows end at the last one
         start = min(order + attempt * (order + 7), max(len(sums) - span, 0))
-        window = sums[start:start + span]
-        if not window:
-            break
-        value, settled = _wynn_even(window, digits)
+        value, settled = _wynn_even(sums[start:start + span], digits)
         if settled:
             return value
     raise NonconvergenceError(f"node at x = {float(x_dec):.6g} did not stabilise")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import add, mul
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .polynomials import Polynomial, _append_over_lcm, _over_lcm, cauchy_product
 
@@ -58,15 +58,17 @@ class ZeroPolynomialError(ValueError):
     """A polynomial-times-geometric series needs a nonzero polynomial."""
 
 
+@dataclass(frozen=True)
 class CFiniteSeries:
     """Immutable series defined by a_n = c_1 a_{n-1} + ... + c_d a_{n-d}."""
 
-    __slots__ = ("_recurrence", "_initial")
+    recurrence: tuple
+    initial: tuple
 
-    def __init__(self, recurrence: Iterable, initial: Iterable):
+    def __post_init__(self):
         # a Fraction is immutable, so one passed in is kept, not copied
-        rec = tuple(c if type(c) is Fraction else Fraction(c) for c in recurrence)
-        init = tuple(a if type(a) is Fraction else Fraction(a) for a in initial)
+        rec = tuple(c if type(c) is Fraction else Fraction(c) for c in self.recurrence)
+        init = tuple(a if type(a) is Fraction else Fraction(a) for a in self.initial)
         if not rec:
             raise ValueError("recurrence order must be at least 1")
         if len(rec) != len(init):
@@ -74,30 +76,19 @@ class CFiniteSeries:
                 f"recurrence order {len(rec)} does not match "
                 f"{len(init)} initial terms"
             )
-        object.__setattr__(self, "_recurrence", rec)
-        object.__setattr__(self, "_initial", init)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CFiniteSeries is immutable")
+        object.__setattr__(self, "recurrence", rec)
+        object.__setattr__(self, "initial", init)
 
     @property
     def order(self) -> int:
-        return len(self._recurrence)
-
-    @property
-    def recurrence(self) -> tuple:
-        return self._recurrence
-
-    @property
-    def initial(self) -> tuple:
-        return self._initial
+        return len(self.recurrence)
 
     def iter_terms(self) -> Iterator[Fraction]:
         """Yield a_0, a_1, a_2, ... without end.  Terms are stepped in ints,
         over running lcm denominators, and each one is reduced once."""
-        yield from self._initial
-        rec, q_den = _over_lcm(self._recurrence)
-        window, den = _over_lcm(self._initial)
+        yield from self.initial
+        rec, q_den = _over_lcm(self.recurrence)
+        window, den = _over_lcm(self.initial)
         while True:
             value = Fraction(sum(map(mul, rec, reversed(window))), q_den * den)
             yield value
@@ -115,23 +106,15 @@ class CFiniteSeries:
             raise ValueError("term count must be nonnegative")
         return list(islice(self.iter_terms(), count))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CFiniteSeries):
-            return NotImplemented
-        return self._recurrence == other._recurrence and self._initial == other._initial
-
-    def __hash__(self) -> int:
-        return hash((self._recurrence, self._initial))
-
     def __repr__(self) -> str:
-        rec = ", ".join(map(str, self._recurrence))
-        init = ", ".join(map(str, self._initial))
+        rec = ", ".join(map(str, self.recurrence))
+        init = ", ".join(map(str, self.initial))
         return f"CFiniteSeries(recurrence=[{rec}], initial=[{init}])"
 
     def to_json(self) -> dict:
         return {
-            "recurrence": [str(c) for c in self._recurrence],
-            "initial": [str(a) for a in self._initial],
+            "recurrence": [str(c) for c in self.recurrence],
+            "initial": [str(a) for a in self.initial],
         }
 
 

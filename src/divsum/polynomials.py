@@ -8,9 +8,9 @@ of coefficient sequences; truncated power series use it as well.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 __all__ = ["Polynomial", "cauchy_product"]
 
@@ -64,53 +64,39 @@ def _append_over_lcm(nums: list, den: int, value: Fraction) -> int:
     return den
 
 
+@dataclass(frozen=True)
 class Polynomial:
     """Immutable polynomial with exact rational coefficients."""
 
-    __slots__ = ("_coeffs",)
+    coefficients: tuple = ()
 
-    def __init__(self, coefficients: Iterable = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+    def __post_init__(self):
+        coeffs = [Fraction(c) for c in self.coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @property
-    def coefficients(self) -> tuple:
-        return self._coeffs
+        object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self.coefficients) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.coefficients
 
     def coefficient(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError("negative coefficient index")
-        return self._coeffs[k] if k < len(self._coeffs) else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return self.coefficients[k] if k < len(self.coefficients) else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self.coefficients)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -124,28 +110,28 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self._coeffs])
+        return Polynomial([-c for c in self.coefficients])
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            a, b = self._coeffs, other._coeffs
+            a, b = self.coefficients, other.coefficients
             return Polynomial(cauchy_product(a, b, len(a) + len(b) - 1))
-        return Polynomial([c * Fraction(other) for c in self._coeffs])
+        return Polynomial([c * Fraction(other) for c in self.coefficients])
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        return Polynomial(_power(self._coeffs, exponent))
+        return Polynomial(_power(self.coefficients, exponent))
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
 
     def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self._coeffs]})"
+        return f"Polynomial({[str(c) for c in self.coefficients]})"
 

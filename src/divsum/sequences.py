@@ -183,15 +183,19 @@ def _table(builders, cls, n_max, method):
 
 @lru_cache(maxsize=None)
 def bernoulli_table(n_max: int, method: str = "recurrence") -> BernoulliTable:
-    """B_0..B_{n_max} computed by the named method, in one forward pass."""
+    """B_0..B_{n_max} computed by the named method, in one forward pass.
+
+    Cached by the call's spelling: the package always passes
+    (n_max, method) positionally, so its callers share one table.
+    """
     return _table(_BERNOULLI_BUILDERS, BernoulliTable, n_max, method)
 
 
 def bernoulli(n: int, method: str = "recurrence") -> Fraction:
     """The Bernoulli number B_n, exactly.
 
-    Each call builds the whole table B_0..B_n; for many indices, read
-    ``bernoulli_table(n).values`` once.
+    Read from ``bernoulli_table(n, method)``, which is built once per
+    distinct (n, method).
     """
     return bernoulli_table(n, method).values[n]
 
@@ -223,15 +227,16 @@ EULER_METHODS = tuple(_EULER_BUILDERS)
 
 @lru_cache(maxsize=None)
 def euler_table(n_max: int, method: str = "recurrence") -> EulerTable:
-    """E_0..E_{n_max} computed by the named method."""
+    """E_0..E_{n_max} computed by the named method, cached as
+    :func:`bernoulli_table` is."""
     return _table(_EULER_BUILDERS, EulerTable, n_max, method)
 
 
 def euler(n: int, method: str = "recurrence") -> int:
     """The Euler number E_n (0 at odd indices), exactly.
 
-    Each call builds the whole table E_0..E_n; for many indices, read
-    ``euler_table(n).values`` once.
+    Read from ``euler_table(n, method)``, which is built once per
+    distinct (n, method).
     """
     return euler_table(n, method).values[n]
 
@@ -275,7 +280,7 @@ def _binomial_sum(w: list, x: int = 1, y: int = 1) -> int:
 
 def _signed_euler(k: int) -> list:
     # (-1)^floor(j/2) E_j for j = 0..k, from the one table E_0..E_k.
-    return [-e if j & 2 else e for j, e in enumerate(euler_table(k).values)]
+    return [-e if j & 2 else e for j, e in enumerate(euler_table(k, "recurrence").values)]
 
 
 def weighted_bernoulli(k: int) -> Fraction:
@@ -288,7 +293,7 @@ def weighted_bernoulli(k: int) -> Fraction:
         raise ValueError("index must be nonnegative")
     if k == 0:
         return Fraction(1, 2)
-    return Fraction(2 ** (k + 1) - 1, k + 1) * bernoulli_table(k + 1).values[k + 1]
+    return Fraction(2 ** (k + 1) - 1, k + 1) * bernoulli_table(k + 1, "recurrence").values[k + 1]
 
 
 def odd_alternating_value(k: int) -> Fraction:

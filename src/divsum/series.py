@@ -15,9 +15,10 @@ big integer by a small one.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Callable, Iterable
+from typing import Callable
 
 from .polynomials import _append_over_lcm, cauchy_product
 
@@ -37,27 +38,21 @@ class UnknownSeriesError(ValueError):
     """Requested named series is not in the catalogue."""
 
 
+@dataclass(frozen=True)
 class TruncatedSeries:
     """Immutable power series truncated at a fixed order."""
 
-    __slots__ = ("_coeffs",)
+    coefficients: tuple
 
-    def __init__(self, coefficients: Iterable):
-        coeffs = tuple(Fraction(c) for c in coefficients)
+    def __post_init__(self):
+        coeffs = tuple(Fraction(c) for c in self.coefficients)
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(self, "_coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coefficients(self) -> tuple:
-        return self._coeffs
+        return len(self.coefficients) - 1
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of z^k; k beyond the truncation order is an error."""
@@ -65,7 +60,7 @@ class TruncatedSeries:
             raise IndexError(
                 f"coefficient index {k} beyond truncation order {self.order}"
             )
-        return self._coeffs[k]
+        return self.coefficients[k]
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -83,20 +78,12 @@ class TruncatedSeries:
         coeffs[k] = Fraction(coefficient)
         return cls(coeffs)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
         return TruncatedSeries(
-            [self._coeffs[k] + other._coeffs[k] for k in range(n + 1)]
+            [self.coefficients[k] + other.coefficients[k] for k in range(n + 1)]
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -105,14 +92,14 @@ class TruncatedSeries:
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
+        return TruncatedSeries([-c for c in self.coefficients])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated to the smaller order."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order) + 1
-        return TruncatedSeries(cauchy_product(self._coeffs, other._coeffs, n))
+        return TruncatedSeries(cauchy_product(self.coefficients, other.coefficients, n))
 
     def reciprocal(self) -> "TruncatedSeries":
         """Series g with self * g = 1 + O(z^(N+1)).
@@ -130,7 +117,7 @@ class TruncatedSeries:
         the k and rho are small, as for the catalogue series, every product
         is big by small.  Each coefficient is reduced once, when it is built.
         """
-        c = self._coeffs
+        c = self.coefficients
         if c[0] == 0:
             raise NonInvertibleSeriesError(
                 "series with zero constant term has no reciprocal"
@@ -158,24 +145,24 @@ class TruncatedSeries:
         factor = Fraction(factor)
         power = Fraction(1)
         out = []
-        for c in self._coeffs:
+        for c in self.coefficients:
             out.append(c * power)
             power *= factor
         return TruncatedSeries(out)
 
     def __str__(self) -> str:
-        parts = [str(self._coeffs[0])]
-        for k, c in enumerate(self._coeffs[1:], start=1):
+        parts = [str(self.coefficients[0])]
+        for k, c in enumerate(self.coefficients[1:], start=1):
             var = "z" if k == 1 else f"z^{k}"
             parts.append(f"{c}*{var}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries([{', '.join(map(str, self._coeffs))}])"
+        return f"TruncatedSeries([{', '.join(map(str, self.coefficients))}])"
 
     def to_json(self) -> list:
         """Ordered list of canonical rational strings c_0..c_N."""
-        return [str(c) for c in self._coeffs]
+        return [str(c) for c in self.coefficients]
 
 
 def _exp_coefficient(k: int) -> Fraction:

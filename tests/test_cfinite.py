@@ -46,6 +46,45 @@ class TestConstruction:
         with pytest.raises(ValueError):
             poly_exp_series([1], 0)
 
+    @pytest.mark.parametrize("build", [alternating_power_series, odd_alternating_series])
+    def test_negative_power_rejected(self, build):
+        with pytest.raises(ValueError, match="^power must be nonnegative$"):
+            build(-1)
+
+    def test_fractions_are_kept(self):
+        c, a = F(1, 3), F(-2, 5)
+        s = CFiniteSeries([c, 1], [a, 2])
+        assert s.recurrence[0] is c
+        assert s.initial[0] is a
+        assert s.recurrence[1] == 1 and type(s.recurrence[1]) is Fraction
+        assert type(s.initial[1]) is Fraction
+
+    def test_repr(self):
+        s = CFiniteSeries([F(1, 2), -1], [3, F(-4, 7)])
+        assert repr(s) == "CFiniteSeries(recurrence=[1/2, -1], initial=[3, -4/7])"
+
+    def test_equality_and_hash_follow_recurrence_and_initial_terms(self):
+        a, b = CFiniteSeries([1, 1], [1, 1]), fibonacci_series()
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != CFiniteSeries([1, 1], [0, 1])
+        assert a != CFiniteSeries([1, 1, 0], [1, 1, 2])
+        assert len({a, b, CFiniteSeries([1, 1], [0, 1])}) == 2
+
+    def test_other_types_compare_unequal(self):
+        s = fibonacci_series()
+        assert s.__eq__(((F(1), F(1)), (F(1), F(1)))) is NotImplemented
+        assert s != ((F(1), F(1)), (F(1), F(1)))
+
+    @pytest.mark.parametrize("name", ["recurrence", "initial", "order", "unknown"])
+    def test_immutable(self, name):
+        s = fibonacci_series()
+        with pytest.raises(AttributeError):
+            setattr(s, name, (F(2),))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+        assert s == CFiniteSeries([1, 1], [1, 1])
+
     def test_json_form(self):
         assert fibonacci_series().to_json() == {
             "recurrence": ["1", "1"],
@@ -415,6 +454,10 @@ class TestOutcome:
         with pytest.raises(ValueError):
             SummationOutcome(value=F(1), pole_order=1)
 
+    def test_pole_order_must_be_positive(self):
+        with pytest.raises(ValueError, match="^pole order must be positive$"):
+            SummationOutcome.not_summable(0)
+
     def test_json_forms(self):
         assert SummationOutcome.summable(F(-1)).to_json() == {"sum": "-1"}
         assert SummationOutcome.not_summable(2).to_json() == {
@@ -472,6 +515,8 @@ class TestRecursiveSum:
         assert recursive_alternating_sum(2) == 0
         # unrolled by hand: 2 S(3) = 1/2 - 3*(1/4) - 3*0 = -1/4
         assert recursive_alternating_sum(3) == F(-1, 8)
+        with pytest.raises(ValueError, match="^index must be nonnegative$"):
+            recursive_alternating_sum(-1)
 
     def test_agrees_with_engine(self):
         for k in range(13):

@@ -68,6 +68,46 @@ class TestPolynomial:
         with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) {message}")):
             spelling(Polynomial([1, 2]))
 
+    def test_negation_and_subtraction(self):
+        p, q = Polynomial([1, F(1, 2)]), Polynomial([3, F(1, 2)])
+        assert -p == Polynomial([-1, F(-1, 2)])
+        assert p - q == Polynomial([-2])
+        assert (p - p).is_zero
+        assert -Polynomial() == Polynomial()
+
+    def test_coefficient_access(self):
+        p = Polynomial([1, 2])
+        assert p.coefficient(1) == 2
+        assert p.coefficient(5) == 0
+        with pytest.raises(IndexError, match="^negative coefficient index$"):
+            p.coefficient(-1)
+
+    def test_repr(self):
+        assert repr(Polynomial([1, F(-1, 2), 0])) == "Polynomial(['1', '-1/2'])"
+        assert repr(Polynomial()) == "Polynomial([])"
+
+    def test_equality_and_hash_follow_the_normalised_coefficients(self):
+        a, b = Polynomial([1, 2, 0]), Polynomial((F(1), F(2)))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != Polynomial([1, 3])
+        assert len({a, b, Polynomial([1, 3])}) == 2
+
+    def test_other_types_compare_unequal(self):
+        p = Polynomial([1])
+        assert p.__eq__((F(1),)) is NotImplemented
+        assert p != (F(1),)
+        assert p != 1
+
+    @pytest.mark.parametrize("name", ["coefficients", "degree", "unknown"])
+    def test_immutable(self, name):
+        p = Polynomial([1, 2])
+        with pytest.raises(AttributeError):
+            setattr(p, name, (F(3),))
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+        assert p.coefficients == (F(1), F(2))
+
     def test_evaluate_horner(self):
         p = Polynomial([5, -3, 2])  # 5 - 3x + 2x^2
         assert p.evaluate(F(1, 2)) == F(4)

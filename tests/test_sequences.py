@@ -246,6 +246,8 @@ class TestEuler:
             EulerTable((1, 5), "recurrence")
         with pytest.raises(ValueError):
             EulerTable((F(1), 0), "recurrence")
+        with pytest.raises(ValueError, match="^table must start with E_0 = 1$"):
+            EulerTable((2,), "x")
 
 
 class TestWeightedValues:
@@ -274,6 +276,8 @@ class TestWeightedValues:
         assert odd_alternating_value(1) == 0
         assert odd_alternating_value(2) == F(-1, 2)
         assert odd_alternating_value(4) == F(5, 2)
+        with pytest.raises(ValueError, match="^index must be nonnegative$"):
+            odd_alternating_value(-1)
 
     def test_odd_alternating_matches_engine(self):
         for k in range(31):
@@ -436,6 +440,18 @@ class TestVerifiers:
         assert bernoulli_table.cache_info().misses == 0
         assert euler_table.cache_info().misses <= 1
 
+    def test_one_table_per_size_and_method(self):
+        # the package spells every table request (n, method), so a table
+        # reached through two public functions is built once
+        bernoulli_table.cache_clear()
+        euler_table.cache_clear()
+        bernoulli(12)
+        weighted_bernoulli(11)
+        assert bernoulli_table.cache_info().misses == 1
+        verify_odd_split(30)
+        verify_even_doubling(30)
+        assert euler_table.cache_info().misses == 1
+
     def test_affine_requires_positive_a(self):
         with pytest.raises(ValueError):
             verify_affine_relation(-1, 1, 3)
@@ -445,6 +461,10 @@ class TestVerifiers:
             verify_weighted_recursion(0)
         with pytest.raises(ValueError):
             verify_peeled_recursion(0, 3)
+        for check in (verify_odd_split, verify_even_doubling,
+                      lambda k: verify_affine_relation(1, 1, k)):
+            with pytest.raises(ValueError, match="^index must be positive$"):
+                check(0)
 
     def test_violation_carries_both_sides(self):
         with pytest.raises(IdentityViolation) as info:

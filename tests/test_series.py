@@ -226,7 +226,29 @@ class TestRendering:
         f = TruncatedSeries([1, F(-1, 2)])
         assert f.to_json() == ["1", "-1/2"]
 
+    def test_repr(self):
+        assert repr(TruncatedSeries([1, F(-1, 2), F(1, 6)])) == "TruncatedSeries([1, -1/2, 1/6])"
+
+    def test_equality_and_hash_follow_the_coefficients(self):
+        a, b = TruncatedSeries([1, 2]), TruncatedSeries((F(1), F(2)))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != TruncatedSeries([1, 2, 0])
+        assert len({a, b, TruncatedSeries([1, 2, 0])}) == 2
+
+    def test_other_types_compare_unequal(self):
+        f = TruncatedSeries([1])
+        assert f.__eq__((F(1),)) is NotImplemented
+        assert f != (F(1),)
+        assert f != 1
+
     def test_immutable(self):
         f = TruncatedSeries([1])
         with pytest.raises(AttributeError):
             f.order = 3
+        for name in ("coefficients", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, (F(2),))
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert f.coefficients == (F(1),)
