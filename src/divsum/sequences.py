@@ -323,8 +323,20 @@ def cot_coefficient(m: int) -> Fraction:
 
 
 def bernoulli_generating_series(order: int) -> TruncatedSeries:
-    """The series z/(e^z - 1), whose coefficient k is B_k/k!."""
-    return known_series("expm1_over_z", order).reciprocal()
+    """The series z/(e^z - 1), whose coefficient k is B_k/k!.
+
+    Built from the even series z/sinh(z) = sum (2 - 4^k) B_2k z^2k / (2k)!,
+    which the reciprocal inverts in z^2: coefficient 2k is that one divided
+    by 2 - 4^k.  Of the odd coefficients only B_1 = -1/2 is nonzero; it is
+    set directly, since 2 - 2^m vanishes at m = 1.
+    """
+    out = [
+        c / (2 - (1 << m)) if m % 2 == 0 else Fraction(0)
+        for m, c in enumerate(known_series("sinh_over_z", order).reciprocal().coefficients)
+    ]
+    if order >= 1:
+        out[1] = Fraction(-1, 2)
+    return TruncatedSeries(out)
 
 
 def secant_series(order: int) -> TruncatedSeries:

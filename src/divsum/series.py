@@ -11,6 +11,12 @@ taken by Horner over the ratios rho_j = V_j / V_{j-1} of the running lcm
 V_j of their denominators, with c_j entering as the integer k_j = c_j V_j.
 For the catalogue series both are small, so every product in the sum is a
 big integer by a small one.
+
+An even series, such as cos z or sinh z / z, is inverted as a series in
+w = z^2: the kernel runs over c_0, c_2, c_4, ... only, so it takes half the
+steps, and the odd coefficients of the result are set to zero.
+The reduction repeats while it applies, so a series in z^4 runs over every
+fourth coefficient.
 """
 
 from __future__ import annotations
@@ -116,12 +122,22 @@ class TruncatedSeries:
         g_n = -S_n / (c_0 V_n L) with c_0 V_n = k_0 rho_1 ... rho_n.  Where
         the k and rho are small, as for the catalogue series, every product
         is big by small.  Each coefficient is reduced once, when it is built.
+
+        While the series read with stride s has order at least 2 and only
+        zeros at its odd places, the stride doubles: f(z) = h(z^s) gives
+        1/f(z) = (1/h)(z^s), so the sum runs over c_0, c_s, c_2s, ... and
+        the result is written back at those indices, with exact zeros in
+        between.  The stride depends only on the coefficients.
         """
         c = self.coefficients
         if c[0] == 0:
             raise NonInvertibleSeriesError(
                 "series with zero constant term has no reciprocal"
             )
+        step = 1
+        while len(c) > 2 * step and not any(c[step :: 2 * step]):
+            step *= 2
+        c = c[::step]
         rho, k, v = [], [], 1
         for x in c:
             r = x.denominator // gcd(v, x.denominator)
@@ -138,6 +154,10 @@ class TruncatedSeries:
                 acc = acc * r + x * g
             out.append(Fraction(-acc, den * g_den))
             g_den = _append_over_lcm(g_nums, g_den, out[n])
+        if step > 1:
+            spread = [Fraction(0)] * len(self.coefficients)
+            spread[::step] = out
+            out = spread
         return TruncatedSeries(out)
 
     def scale_variable(self, factor) -> "TruncatedSeries":
@@ -186,18 +206,27 @@ def _expm1_over_z_coefficient(k: int) -> Fraction:
     return Fraction(1, factorial(k + 1))
 
 
+def _sinh_over_z_coefficient(k: int) -> Fraction:
+    # sinh(z)/z = sum z^(2j) / (2j+1)!
+    if k % 2 == 1:
+        return Fraction(0)
+    return Fraction(1, factorial(k + 1))
+
+
 _CATALOGUE: dict[str, Callable[[int], Fraction]] = {
     "exp": _exp_coefficient,
     "sin": _sin_coefficient,
     "cos": _cos_coefficient,
     "expm1_over_z": _expm1_over_z_coefficient,
+    "sinh_over_z": _sinh_over_z_coefficient,
 }
 
 
 def known_series(name: str, order: int) -> TruncatedSeries:
     """Exact Taylor series of a named elementary function, to the given order.
 
-    Known names: exp, sin, cos, expm1_over_z (the series of (e^z - 1)/z).
+    Known names: exp, sin, cos, expm1_over_z (the series of (e^z - 1)/z) and
+    sinh_over_z (the series of sinh(z)/z).
     """
     try:
         gen = _CATALOGUE[name]

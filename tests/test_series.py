@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from divsum.sequences import bernoulli_generating_series, secant_series
 from divsum.series import (
     NonInvertibleSeriesError,
     TruncatedSeries,
@@ -30,6 +31,11 @@ class TestKnownSeries:
 
     def test_expm1_over_z(self):
         assert known_series("expm1_over_z", 2).coefficients == (F(1), F(1, 2), F(1, 6))
+
+    def test_sinh_over_z(self):
+        assert known_series("sinh_over_z", 5).coefficients == (
+            F(1), F(0), F(1, 6), F(0), F(1, 120), F(0),
+        )
 
     def test_unknown_name(self):
         with pytest.raises(UnknownSeriesError):
@@ -100,6 +106,14 @@ def _random_series(rng):
     return TruncatedSeries(coeffs[: order + 1])
 
 
+def _spliced(f, step, tail):
+    """The series f(z^step), with `tail` extra zeros after its last term, so
+    the order need not be a multiple of step."""
+    coeffs = [F(0)] * (step * f.order + 1 + tail)
+    coeffs[: step * f.order + 1 : step] = f.coefficients
+    return TruncatedSeries(coeffs)
+
+
 class TestReciprocal:
     def test_one_is_self_inverse(self):
         assert TruncatedSeries.one(5).reciprocal() == TruncatedSeries.one(5)
@@ -134,6 +148,21 @@ class TestReciprocal:
             zero_runs += any(not x and not y for x, y in zip(c[1:], c[2:]))
         assert min(negative, fractional, zero_runs) > 10
 
+    @pytest.mark.parametrize("step", [2, 4])
+    def test_matches_fraction_recursion_on_random_spliced_series(self, step):
+        # even series (step 2) and series in z^4 (step 4) take the reduced path
+        rng = random.Random(step)
+        reduced = 0
+        for _ in range(40):
+            f = _spliced(_random_series(rng), step, rng.randint(0, step - 1))
+            g = f.reciprocal()
+            assert g.coefficients == _fraction_reciprocal(f.coefficients)
+            assert f * g == TruncatedSeries.one(f.order)
+            assert all(type(x) is F and x == 0
+                       for m, x in enumerate(g.coefficients) if m % step)
+            reduced += f.order >= 2
+        assert reduced > 30
+
     def test_coprime_denominators(self):
         f = TruncatedSeries([F(-2, 3), 0, 0] + [F(1, p) for p in _PRIMES])
         g = f.reciprocal()
@@ -160,8 +189,18 @@ class TestReciprocal:
         # order 0 and order 1
         [F(-7, 3)],
         [F(-7, 3), F(11, 5)],
+        # even up to a nonzero last odd coefficient: no reduction
+        [F(2, 3), 0, F(1, 5), 0, F(-1, 7), F(3, 11)],
+        # the shortest even series that reduces, and one with an odd order
+        [F(2, 3), 0, F(1, 5)],
+        [F(2, 3), 0, F(1, 5), 0],
+        # even but not a series in z^4: one halving, then the full kernel
+        [1, 0, F(1, 3), 0, F(1, 5), 0, F(1, 7), 0, F(1, 9)],
+        # a series in z^8
+        [F(5, 2)] + ([0] * 7 + [F(-1, 3)]) * 4,
     ], ids=["divides", "divides_first", "late_prime", "prime_powers", "zero_runs",
-            "zero_tail", "negative_fractional_c0", "big_c0", "order0", "order1"])
+            "zero_tail", "negative_fractional_c0", "big_c0", "order0", "order1",
+            "odd_last", "even_order2", "even_order3", "even_once", "z8"])
     def test_matches_fraction_recursion_on_unusual_chains(self, coeffs):
         f = TruncatedSeries(coeffs)
         g = f.reciprocal()
@@ -177,6 +216,25 @@ class TestReciprocal:
     def test_zero_constant_term_rejected(self):
         with pytest.raises(NonInvertibleSeriesError):
             known_series("sin", 4).reciprocal()
+        with pytest.raises(NonInvertibleSeriesError):
+            TruncatedSeries([0, 0, 1]).reciprocal()
+
+
+class TestSequenceSeriesRoutes:
+    @pytest.mark.parametrize("order", range(4))
+    def test_edge_orders_match_fraction_recursion(self, order):
+        # below order 2 no reduction happens; at order 1 the Bernoulli route
+        # sets B_1 itself, where its factor 2 - 2^m is zero
+        assert bernoulli_generating_series(order).coefficients == \
+            _fraction_reciprocal(known_series("expm1_over_z", order).coefficients)
+        assert secant_series(order).coefficients == \
+            _fraction_reciprocal(known_series("cos", order).coefficients)
+
+    @pytest.mark.parametrize("order", [*range(61), 300])
+    def test_bernoulli_matches_expm1_reference_route(self, order):
+        # z/(e^z - 1) inverted directly finds B_1 and the odd zeros itself
+        assert bernoulli_generating_series(order) == \
+            known_series("expm1_over_z", order).reciprocal()
 
 
 class TestScaleVariable:
