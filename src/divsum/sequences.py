@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial
 from operator import add, mul
 
@@ -123,27 +123,56 @@ class EulerTable:
             raise ValueError("Euler numbers must be integers")
 
 
+_ZERO = Fraction(0)  # B_m at odd m >= 3, set without solving for it
+
+
 def _bernoulli_recurrence(n_max: int) -> list:
-    # sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1, solved for B_m: the dot product
-    # of row m + 1 of Pascal's triangle, stepped from row m by additions, with
-    # B_0..B_{m-1}, held as integer numerators over one running common
-    # denominator.  The sum is in ints and each B_m is reduced once.
-    values, nums, den, row = [Fraction(1)], [1], 1, [1, 1]
-    for m in range(1, n_max + 1):
+    # sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1, solved for B_m at even m >= 2
+    # only; B_0 = 1 and B_1 = -1/2 start the table, and B_m = 0 at odd m >= 3
+    # is set directly.  The odd terms of the sum vanish but for
+    # C(m+1, 1) B_1 = -(m+1)/2, so B_m = 1/2 - sum_{even k<m} C(m+1, k) B_k / (m+1):
+    # the even entries of row m + 1 of Pascal's triangle, stepped once per m by
+    # additions, dotted with B_0, B_2, ..., B_{m-2}, held as integer numerators
+    # over one running common denominator.  The sum is in ints and each B_m is
+    # reduced once.
+    values = [Fraction(1), Fraction(-1, 2)][: n_max + 1]
+    nums, den, row = [1], 1, [1, 2, 1]  # B_0 over 1, and row 2
+    for m in range(2, n_max + 1):
         row = [1, *map(add, row, row[1:]), 1]
-        values.append(Fraction(-sum(map(mul, row, nums)), (m + 1) * den))
+        if m & 1:
+            values.append(_ZERO)
+            continue
+        total = sum(map(mul, row[::2], nums))
+        values.append(Fraction((m + 1) * den - 2 * total, 2 * (m + 1) * den))
         den = _append_over_lcm(nums, den, values[m])
     return values
 
 
-def _times_factorials(series: TruncatedSeries) -> list:
-    # k! c_k for the coefficients c_k of series
-    factorials = accumulate(range(1, series.order + 1), mul, initial=1)
-    return list(map(mul, series.coefficients, factorials))
+def _factorials(n: int):
+    # 0!, 1!, ..., n!
+    return accumulate(range(1, n + 1), mul, initial=1)
+
+
+def _bernoulli_from_sinh(order: int, weights) -> list:
+    # w_m B_m / m! for m = 0..order, read off the even series
+    # z/sinh(z) = sum (2 - 4^k) B_2k z^2k / (2k)!, which the reciprocal
+    # inverts in z^2: coefficient 2k times w_2k, over 2 - 4^k.  Multiplying
+    # first lets Fraction cancel w_2k against the coefficient's denominator
+    # and then 2 - 4^k against the numerator, so no gcd of two big coprime
+    # ints is taken.  Of the odd values only w_1 B_1 = -w_1/2 is nonzero; it
+    # is set directly, since 2 - 2^m vanishes at m = 1.
+    out = []
+    s = known_series("sinh_over_z", order).reciprocal().coefficients
+    for m, (c, w) in enumerate(zip(s, weights)):
+        if m & 1:
+            out.append(Fraction(-w, 2) if m == 1 else _ZERO)
+        else:
+            out.append(c * w / (2 - (1 << m)))
+    return out
 
 
 def _bernoulli_series(n_max: int) -> list:
-    return _times_factorials(bernoulli_generating_series(n_max))
+    return _bernoulli_from_sinh(n_max, _factorials(n_max))
 
 
 def _bernoulli_garabedian(n_max: int) -> list:
@@ -151,12 +180,22 @@ def _bernoulli_garabedian(n_max: int) -> list:
     # alternating power sums; B_0 and B_1 come from the defining recurrence.
     # The inner sum d_i = sum_j (-1)^j C(i, j) (j+1)^n is (-1)^i i! S(n+1, i+1),
     # S the Stirling numbers of the second kind.  The row keeps i! S(m, i+1) for
-    # i < m; S(m, k) = k S(m-1, k) + S(m-1, k-1), times i!, steps it from m - 1.
+    # i < m; S(m, k) = k S(m-1, k) + S(m-1, k-1), times i!, steps it from m - 1:
+    # with a_i = (i+1) times entry i of row m - 1, entry i of row m is
+    # a_i + a_{i-1}.  The row steps at every m, but the sum is taken only at
+    # even m; B_m = 0 at odd m >= 3 is set directly.
     values = [Fraction(1), Fraction(-1, 2)][: n_max + 1]
     row = [1]  # m = 1
     for m in range(2, n_max + 1):
-        row = [(i + 1) * s + i * prev for i, (prev, s) in enumerate(zip([0] + row, row + [0]))]
-        total = sum((-d if i & 1 else d) << (m - 1 - i) for i, d in enumerate(row))  # over 2^m
+        a = list(map(mul, row, range(1, m)))
+        row = [a[0], *map(add, a, a[1:]), a[-1]]
+        if m & 1:
+            values.append(_ZERO)
+            continue
+        # sum_i (-1)^i d_i 2^(m-1-i), over 2^m, by Horner in 2, two entries a step
+        total = 0
+        for even, odd in zip(row[::2], row[1::2]):
+            total = (total << 2) + (even << 1) - odd
         values.append(Fraction(m * total, (2 ** m - 1) * 2 ** m))
     return values
 
@@ -214,11 +253,16 @@ def _euler_recurrence(n_max: int) -> list:
 
 
 def _euler_series(n_max: int) -> list:
-    values = _times_factorials(secant_series(n_max))
-    for n, c in enumerate(values):
-        if c.denominator != 1:
+    # E_n = n! c_n for the coefficients c_n of sec(z).  c_n is in lowest
+    # terms, so n! c_n is an integer exactly when the denominator divides n!,
+    # and one divmod with a small quotient decides it.
+    values = []
+    for n, (c, f) in enumerate(zip(secant_series(n_max).coefficients, _factorials(n_max))):
+        q, r = divmod(f, c.denominator)
+        if r:
             raise ArithmeticError(f"secant coefficient {n} did not clear to an integer")
-    return [int(c) for c in values]
+        values.append(c.numerator * q)
+    return values
 
 
 _EULER_BUILDERS = {"recurrence": _euler_recurrence, "series": _euler_series}
@@ -325,18 +369,12 @@ def cot_coefficient(m: int) -> Fraction:
 def bernoulli_generating_series(order: int) -> TruncatedSeries:
     """The series z/(e^z - 1), whose coefficient k is B_k/k!.
 
-    Built from the even series z/sinh(z) = sum (2 - 4^k) B_2k z^2k / (2k)!,
+    Read off the even series z/sinh(z) = sum (2 - 4^k) B_2k z^2k / (2k)!,
     which the reciprocal inverts in z^2: coefficient 2k is that one divided
     by 2 - 4^k.  Of the odd coefficients only B_1 = -1/2 is nonzero; it is
     set directly, since 2 - 2^m vanishes at m = 1.
     """
-    out = [
-        c / (2 - (1 << m)) if m % 2 == 0 else Fraction(0)
-        for m, c in enumerate(known_series("sinh_over_z", order).reciprocal().coefficients)
-    ]
-    if order >= 1:
-        out[1] = Fraction(-1, 2)
-    return TruncatedSeries(out)
+    return TruncatedSeries(_bernoulli_from_sinh(order, repeat(1)))
 
 
 def secant_series(order: int) -> TruncatedSeries:

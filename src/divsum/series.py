@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
-from typing import Callable
+from itertools import accumulate, count, cycle, islice
+from math import gcd
+from operator import mul
 
 from .polynomials import _append_over_lcm, cauchy_product
 
@@ -185,40 +186,13 @@ class TruncatedSeries:
         return [str(c) for c in self.coefficients]
 
 
-def _exp_coefficient(k: int) -> Fraction:
-    return Fraction(1, factorial(k))
-
-
-def _sin_coefficient(k: int) -> Fraction:
-    if k % 2 == 0:
-        return Fraction(0)
-    return Fraction((-1) ** (k // 2), factorial(k))
-
-
-def _cos_coefficient(k: int) -> Fraction:
-    if k % 2 == 1:
-        return Fraction(0)
-    return Fraction((-1) ** (k // 2), factorial(k))
-
-
-def _expm1_over_z_coefficient(k: int) -> Fraction:
-    # (e^z - 1)/z = sum z^k / (k+1)!
-    return Fraction(1, factorial(k + 1))
-
-
-def _sinh_over_z_coefficient(k: int) -> Fraction:
-    # sinh(z)/z = sum z^(2j) / (2j+1)!
-    if k % 2 == 1:
-        return Fraction(0)
-    return Fraction(1, factorial(k + 1))
-
-
-_CATALOGUE: dict[str, Callable[[int], Fraction]] = {
-    "exp": _exp_coefficient,
-    "sin": _sin_coefficient,
-    "cos": _cos_coefficient,
-    "expm1_over_z": _expm1_over_z_coefficient,
-    "sinh_over_z": _sinh_over_z_coefficient,
+# name -> (shift, pattern): coefficient k is pattern[k % len(pattern)] / (k + shift)!
+_CATALOGUE: dict[str, tuple[int, tuple[int, ...]]] = {
+    "exp": (0, (1,)),
+    "sin": (0, (0, 1, 0, -1)),
+    "cos": (0, (1, 0, -1, 0)),
+    "expm1_over_z": (1, (1,)),  # (e^z - 1)/z = sum z^k / (k+1)!
+    "sinh_over_z": (1, (1, 0)),  # sinh(z)/z = sum z^(2j) / (2j+1)!
 }
 
 
@@ -226,12 +200,17 @@ def known_series(name: str, order: int) -> TruncatedSeries:
     """Exact Taylor series of a named elementary function, to the given order.
 
     Known names: exp, sin, cos, expm1_over_z (the series of (e^z - 1)/z) and
-    sinh_over_z (the series of sinh(z)/z).
+    sinh_over_z (the series of sinh(z)/z).  Each has a periodic integer
+    numerator over (k + shift)! at z^k; the factorials are stepped, one
+    small multiply per coefficient.
     """
     try:
-        gen = _CATALOGUE[name]
+        shift, pattern = _CATALOGUE[name]
     except KeyError:
         raise UnknownSeriesError(
             f"unknown series {name!r}; choose from {sorted(_CATALOGUE)}"
         ) from None
-    return TruncatedSeries([gen(k) for k in range(order + 1)])
+    factorials = islice(accumulate(count(1), mul, initial=1), shift, None)
+    return TruncatedSeries(
+        [Fraction(p, f) for _, p, f in zip(range(order + 1), cycle(pattern), factorials)]
+    )

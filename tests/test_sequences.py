@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+from operator import add, mul
 
 import pytest
 
 from divsum import sequences
 from divsum.cfinite import axiomatic_sum, odd_alternating_series
+from divsum.polynomials import _append_over_lcm
 from divsum.sequences import (
     BERNOULLI_METHODS,
     EULER_METHODS,
@@ -64,6 +67,20 @@ def garabedian_by_differences(n_max):
         total = sum(inner << (n - i) for i, inner in enumerate(d))  # over 2^(n+1)
         values.append(F(m * total, (2 ** m - 1) * 2 ** m))
     return values
+
+
+@lru_cache(maxsize=None)
+def full_bernoulli_recurrence(n_max):
+    """B_0..B_{n_max} from sum_{k=0}^{m} C(m+1, k) B_k = 0 solved at every
+    m >= 1, odd m included: row m + 1 of Pascal's triangle dotted with all
+    of B_0..B_{m-1} over one running common denominator.  The library's
+    builders set the odd zeros directly; this derives them."""
+    values, nums, den, row = [F(1)], [1], 1, [1, 1]
+    for m in range(1, n_max + 1):
+        row = [1, *map(add, row, row[1:]), 1]
+        values.append(F(-sum(map(mul, row, nums)), (m + 1) * den))
+        den = _append_over_lcm(nums, den, values[m])
+    return tuple(values)
 
 
 def reference_weights(k):
@@ -193,9 +210,18 @@ class TestBernoulli:
         b = sympy.bernoulli(n)  # n >= 2, where sympy's sign convention agrees
         assert bernoulli_table(300, "garabedian").values[n] == F(int(b.p), int(b.q))
 
-    def test_odd_indices_vanish(self):
-        table = bernoulli_table(25).values
-        assert all(table[n] == 0 for n in range(3, 26, 2))
+    def test_full_recurrence_derives_the_odd_zeros(self):
+        values = full_bernoulli_recurrence(401)
+        assert values[1] == F(-1, 2)
+        assert all(values[m] == 0 for m in range(3, 402, 2))
+
+    @pytest.mark.parametrize("method", BERNOULLI_METHODS)
+    def test_methods_equal_the_full_recurrence(self, method):
+        # N = 401 ends on an odd index that every builder skips
+        full = full_bernoulli_recurrence(401)
+        for n_max in range(61):
+            assert bernoulli_table(n_max, method).values == full[: n_max + 1], n_max
+        assert bernoulli_table(401, method).values == full
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -240,6 +266,12 @@ class TestEuler:
 
     def test_values_are_integers(self):
         assert all(isinstance(v, int) for v in euler_table(20).values)
+
+    def test_series_rejects_a_coefficient_that_does_not_clear(self, monkeypatch):
+        # 2! * 1/3 is not an integer; sec(z) never gives one, so a stand-in does
+        monkeypatch.setattr(sequences, "secant_series", lambda n: TruncatedSeries([1, 0, F(1, 3)]))
+        with pytest.raises(ArithmeticError, match="^secant coefficient 2 did not clear to an integer$"):
+            sequences._euler_series(2)
 
     def test_table_invariants_enforced(self):
         with pytest.raises(ValueError):
