@@ -18,12 +18,13 @@ lcm of theirs, every loop or recurrence step adds and multiplies ints, and
 each value or term that leaves a kernel is reduced to a Fraction once.  Each
 step is one dot product, ``sum(map(mul, ...))``: a recurrence step takes the
 coefficients against the window of terms, newest first, and a binomial sum
-takes a row of Pascal's triangle, stepped from the one before by additions,
-against the earlier values.  A series p(n) r^n is built from values, not
-from p's coefficients: its closed-form values p(0), ..., p(d + 4) as ints
-over one denominator, taken by integer Horner steps for a general p and by
-int pow for (n + 1)^k and (2n + 1)^k, give the initial terms and check the
-recurrence of (x - r)^d, whose coefficients come from one binomial row.
+takes a row of Pascal's triangle, stepped from the one before by additions
+over its first half and mirrored, against the earlier values.  A series
+p(n) r^n is built from values, not from p's coefficients: its closed-form
+values p(0), ..., p(d + 4) as ints over one denominator, taken by integer
+Horner steps for a general p and by int pow for (n + 1)^k and (2n + 1)^k,
+give the initial terms and check the recurrence of (x - r)^d, whose
+coefficients come from one binomial row.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from operator import add, mul
+from operator import mul
 from typing import Iterator, Optional
 
-from .polynomials import Polynomial, _append_over_lcm, _over_lcm, cauchy_product
+from .polynomials import Polynomial, _append_over_lcm, _next_row, _over_lcm, cauchy_product
 
 __all__ = [
     "CFiniteSeries",
@@ -346,7 +347,7 @@ def recursive_alternating_sum(k: int) -> Fraction:
     # with row m of Pascal's triangle; each S(m) is reduced once.
     value, nums, den, row = Fraction(1, 2), [1], 2, [1]
     for _ in range(k):
-        row = [1, *map(add, row, row[1:]), 1]
+        row = _next_row(row)
         value = Fraction(den - sum(map(mul, row, nums)), 2 * den)  # (1 - sum/den) / 2
         den = _append_over_lcm(nums, den, value)
     return value

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 __all__ = ["Polynomial", "cauchy_product"]
 
@@ -30,6 +31,14 @@ def cauchy_product(a, b, n: int) -> list:
                 if y:
                     out[i + j] += x * y
     return out
+
+
+def _next_row(row: list) -> list:
+    """Row n + 1 of Pascal's triangle from row n: the first half by
+    additions, the rest mirrored, since every row is symmetric."""
+    n = len(row)  # row n + 1 has n + 1 entries
+    half = [1, *map(add, row, row[1 : (n + 2) // 2])]
+    return half + half[(n + 1) // 2 - 1 :: -1]
 
 
 def _power(coeffs, e: int) -> list:

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import factorial
 from operator import add, mul
 
-from .polynomials import _append_over_lcm
-from .series import TruncatedSeries, known_series
+from .polynomials import _append_over_lcm, _next_row
+from .series import TruncatedSeries, _reciprocal_numerators, known_series
 
 __all__ = [
     "BERNOULLI_METHODS",
@@ -132,13 +132,13 @@ def _bernoulli_recurrence(n_max: int) -> list:
     # is set directly.  The odd terms of the sum vanish but for
     # C(m+1, 1) B_1 = -(m+1)/2, so B_m = 1/2 - sum_{even k<m} C(m+1, k) B_k / (m+1):
     # the even entries of row m + 1 of Pascal's triangle, stepped once per m by
-    # additions, dotted with B_0, B_2, ..., B_{m-2}, held as integer numerators
+    # _next_row, dotted with B_0, B_2, ..., B_{m-2}, held as integer numerators
     # over one running common denominator.  The sum is in ints and each B_m is
     # reduced once.
     values = [Fraction(1), Fraction(-1, 2)][: n_max + 1]
     nums, den, row = [1], 1, [1, 2, 1]  # B_0 over 1, and row 2
     for m in range(2, n_max + 1):
-        row = [1, *map(add, row, row[1:]), 1]
+        row = _next_row(row)
         if m & 1:
             values.append(_ZERO)
             continue
@@ -155,19 +155,21 @@ def _factorials(n: int):
 
 def _bernoulli_from_sinh(order: int, weights) -> list:
     # w_m B_m / m! for m = 0..order, read off the even series
-    # z/sinh(z) = sum (2 - 4^k) B_2k z^2k / (2k)!, which the reciprocal
-    # inverts in z^2: coefficient 2k times w_2k, over 2 - 4^k.  Multiplying
-    # first lets Fraction cancel w_2k against the coefficient's denominator
-    # and then 2 - 4^k against the numerator, so no gcd of two big coprime
-    # ints is taken.  Of the odd values only w_1 B_1 = -w_1/2 is nonzero; it
-    # is set directly, since 2 - 2^m vanishes at m = 1.
+    # z/sinh(z) = sum (2 - 4^k) B_2k z^2k / (2k)!: coefficient 2k times w_2k,
+    # over 2 - 4^k.  The reciprocal's kernel gives that coefficient as an
+    # unreduced G / L, so each value is one Fraction(w G, L (2 - 4^k)),
+    # reduced once.  Of the odd values only w_1 B_1 = -w_1/2 is nonzero; it is
+    # set directly, since 2 - 2^m vanishes at m = 1.
+    step, pairs = _reciprocal_numerators(known_series("sinh_over_z", order).coefficients)
     out = []
-    s = known_series("sinh_over_z", order).reciprocal().coefficients
-    for m, (c, w) in enumerate(zip(s, weights)):
-        if m & 1:
-            out.append(Fraction(-w, 2) if m == 1 else _ZERO)
+    for m, w in zip(range(order + 1), weights):
+        if m == 1:
+            out.append(Fraction(-w, 2))
+        elif m % step:
+            out.append(_ZERO)
         else:
-            out.append(c * w / (2 - (1 << m)))
+            g, den = pairs[m // step]
+            out.append(Fraction(w * g, den * (2 - (1 << m))))
     return out
 
 
@@ -244,8 +246,7 @@ def _euler_recurrence(n_max: int) -> list:
     # s_n = -sum_{k<n} C(2n, 2k) s_k: the even entries of Pascal's row 2n dotted with s.
     s, row = [1], [1]
     for _ in range(n_max // 2):
-        for _ in range(2):
-            row = [1, *map(add, row, row[1:]), 1]
+        row = _next_row(_next_row(row))
         s.append(-sum(map(mul, row[::2], s)))
     values = [0] * (n_max + 1)
     values[::2] = [-x if k & 1 else x for k, x in enumerate(s)]
@@ -253,15 +254,17 @@ def _euler_recurrence(n_max: int) -> list:
 
 
 def _euler_series(n_max: int) -> list:
-    # E_n = n! c_n for the coefficients c_n of sec(z).  c_n is in lowest
-    # terms, so n! c_n is an integer exactly when the denominator divides n!,
-    # and one divmod with a small quotient decides it.
-    values = []
-    for n, (c, f) in enumerate(zip(secant_series(n_max).coefficients, _factorials(n_max))):
-        q, r = divmod(f, c.denominator)
+    # E_n = n! c_n for the coefficients c_n of sec(z) = 1/cos(z).  The
+    # reciprocal's kernel gives c_n as an unreduced G / L, so one divmod of
+    # n! G by L gives E_n and decides whether it is an integer; no Fraction
+    # is built.  The odd E_n stay 0.
+    step, pairs = _reciprocal_numerators(known_series("cos", n_max).coefficients)
+    values = [0] * (n_max + 1)
+    factorials = islice(_factorials(n_max), 0, None, step)
+    for n, f, (g, den) in zip(range(0, n_max + 1, step), factorials, pairs):
+        values[n], r = divmod(f * g, den)
         if r:
             raise ArithmeticError(f"secant coefficient {n} did not clear to an integer")
-        values.append(c.numerator * q)
     return values
 
 
@@ -370,9 +373,10 @@ def bernoulli_generating_series(order: int) -> TruncatedSeries:
     """The series z/(e^z - 1), whose coefficient k is B_k/k!.
 
     Read off the even series z/sinh(z) = sum (2 - 4^k) B_2k z^2k / (2k)!,
-    which the reciprocal inverts in z^2: coefficient 2k is that one divided
-    by 2 - 4^k.  Of the odd coefficients only B_1 = -1/2 is nonzero; it is
-    set directly, since 2 - 2^m vanishes at m = 1.
+    which the reciprocal's kernel inverts in z^2: coefficient 2k is that one
+    divided by 2 - 4^k, reduced once.  Of the odd coefficients only
+    B_1 = -1/2 is nonzero; it is set directly, since 2 - 2^m vanishes at
+    m = 1.
     """
     return TruncatedSeries(_bernoulli_from_sinh(order, repeat(1)))
 

@@ -10,7 +10,11 @@ invert, runs in integers.  Each step's sum over the coefficients c_j is
 taken by Horner over the ratios rho_j = V_j / V_{j-1} of the running lcm
 V_j of their denominators, with c_j entering as the integer k_j = c_j V_j.
 For the catalogue series both are small, so every product in the sum is a
-big integer by a small one.
+big integer by a small one.  The kernel, :func:`_reciprocal_numerators`,
+returns each coefficient as an unreduced pair of ints (G_n, L_n); its one
+gcd per step keeps L_n the lcm of the reduced denominators so far.  The
+reciprocal reduces each pair once, and the Bernoulli and Euler series
+tables read the pairs directly, so each of their values is reduced once.
 
 An even series, such as cos z or sinh z / z, is inverted as a series in
 w = z^2: the kernel runs over c_0, c_2, c_4, ... only, so it takes half the
@@ -27,7 +31,7 @@ from itertools import accumulate, count, cycle, islice
 from math import gcd
 from operator import mul
 
-from .polynomials import _append_over_lcm, cauchy_product
+from .polynomials import cauchy_product
 
 __all__ = [
     "NonInvertibleSeriesError",
@@ -113,52 +117,15 @@ class TruncatedSeries:
 
         Uses the triangular recursion g_n = -(1/c_0) * sum_{j=1..n} c_j g_{n-j}
         with g_0 = 1/c_0; requires a nonzero constant term.  The sum runs in
-        integers.  g_0..g_{n-1} are held as integer numerators G_k over the
-        lcm L of their denominators, which grows as coefficients are
-        appended.  On the c side, with V_n the lcm of the denominators of
-        c_0..c_n, the ints rho_n = V_n / V_{n-1} and k_j = c_j V_j are found
-        once; then c_j V_n = k_j rho_{j+1} ... rho_n, so the sum
-        S_n = sum_{j=1..n} (c_j V_n) G_{n-j} is taken by Horner over the
-        rhos, acc -> acc * rho_j + k_j G_{n-j} for j = 1..n, and
-        g_n = -S_n / (c_0 V_n L) with c_0 V_n = k_0 rho_1 ... rho_n.  Where
-        the k and rho are small, as for the catalogue series, every product
-        is big by small.  Each coefficient is reduced once, when it is built.
-
-        While the series read with stride s has order at least 2 and only
-        zeros at its odd places, the stride doubles: f(z) = h(z^s) gives
-        1/f(z) = (1/h)(z^s), so the sum runs over c_0, c_s, c_2s, ... and
-        the result is written back at those indices, with exact zeros in
-        between.  The stride depends only on the coefficients.
+        integers, in :func:`_reciprocal_numerators`; each coefficient is the
+        pair (G_n, L_n) it returns, reduced once here as Fraction(G_n, L_n).
+        A series whose nonzero coefficients sit at multiples of a stride s is
+        inverted over those coefficients alone, and the result is written back
+        at those indices, with exact zeros in between.
         """
-        c = self.coefficients
-        if c[0] == 0:
-            raise NonInvertibleSeriesError(
-                "series with zero constant term has no reciprocal"
-            )
-        step = 1
-        while len(c) > 2 * step and not any(c[step :: 2 * step]):
-            step *= 2
-        c = c[::step]
-        rho, k, v = [], [], 1
-        for x in c:
-            r = x.denominator // gcd(v, x.denominator)
-            v *= r
-            rho.append(r)
-            k.append(x.numerator * (v // x.denominator))
-        rho_1, k_1 = rho[1:], k[1:]
-        den, out = k[0], [1 / c[0]]
-        g_nums, g_den = [out[0].numerator], out[0].denominator
-        for n in range(1, len(c)):
-            den *= rho[n]
-            acc = 0
-            for r, x, g in zip(rho_1, k_1, reversed(g_nums)):
-                acc = acc * r + x * g
-            out.append(Fraction(-acc, den * g_den))
-            g_den = _append_over_lcm(g_nums, g_den, out[n])
-        if step > 1:
-            spread = [Fraction(0)] * len(self.coefficients)
-            spread[::step] = out
-            out = spread
+        step, pairs = _reciprocal_numerators(self.coefficients)
+        out = [Fraction(0)] * len(self.coefficients)
+        out[::step] = [Fraction(g, den) for g, den in pairs]
         return TruncatedSeries(out)
 
     def scale_variable(self, factor) -> "TruncatedSeries":
@@ -184,6 +151,67 @@ class TruncatedSeries:
     def to_json(self) -> list:
         """Ordered list of canonical rational strings c_0..c_N."""
         return [str(c) for c in self.coefficients]
+
+
+def _reciprocal_numerators(coefficients) -> tuple[int, list]:
+    """(step, pairs) with g_{n step} = G_n / L_n for each pair (G_n, L_n),
+    where g is the reciprocal of the series with the given coefficients and
+    every other g_m is zero.
+
+    While the coefficients read with stride s have order at least 2 and only
+    zeros at their odd places, the stride doubles: f(z) = h(z^s) gives
+    1/f(z) = (1/h)(z^s), so the recursion runs over c_0, c_s, c_2s, ...
+    only.  The stride depends only on the coefficients.
+
+    g_0..g_{n-1} are held as integer numerators G_k over the lcm L of their
+    denominators.  On the c side, with V_n the lcm of the denominators of
+    c_0..c_n, the ints rho_n = V_n / V_{n-1} and k_j = c_j V_j are found
+    once; then c_j V_n = k_j rho_{j+1} ... rho_n, so the sum
+    S_n = sum_{j=1..n} (c_j V_n) G_{n-j} is taken by Horner over the rhos,
+    acc -> acc * rho_j + k_j G_{n-j} for j = 1..n, and
+    g_n = -S_n / (den L) with den = c_0 V_n = k_0 rho_1 ... rho_n.  Where
+    the k and rho are small, as for the catalogue series, every product is
+    big by small.  The least m with g_n L m an integer is den / h,
+    h = gcd(S_n, den), so L grows by that factor and G_n = -S_n / h: one
+    gcd per coefficient, and the held numerators are rescaled only when L
+    grows.  Each pair is returned as built, over the L of its own step, and
+    is not reduced.
+    """
+    c = coefficients
+    if c[0] == 0:
+        raise NonInvertibleSeriesError(
+            "series with zero constant term has no reciprocal"
+        )
+    step = 1
+    while len(c) > 2 * step and not any(c[step :: 2 * step]):
+        step *= 2
+    c = c[::step]
+    rho, k, v = [], [], 1
+    for x in c:
+        r = x.denominator // gcd(v, x.denominator)
+        v *= r
+        rho.append(r)
+        k.append(x.numerator * (v // x.denominator))
+    # g_0 = 1/c_0 = V_0 / k_0 in lowest terms.  den is kept positive: for
+    # c_0 < 0 its sign moves onto the k_j, and so onto S_n.
+    rho_1, k_1, den = rho[1:], k[1:], k[0]
+    g_nums = [rho[0]]
+    if den < 0:
+        k_1, den, g_nums = [-x for x in k_1], -den, [-rho[0]]
+    g_den, pairs = den, [(g_nums[0], den)]
+    for n in range(1, len(c)):
+        den *= rho[n]
+        acc = 0
+        for r, x, g in zip(rho_1, k_1, reversed(g_nums)):
+            acc = acc * r + x * g
+        h = gcd(acc, den)
+        missing = den // h
+        if missing != 1:
+            g_nums = [x * missing for x in g_nums]
+            g_den *= missing
+        g_nums.append(-acc // h)
+        pairs.append((g_nums[-1], g_den))
+    return step, pairs
 
 
 # name -> (shift, pattern): coefficient k is pattern[k % len(pattern)] / (k + shift)!

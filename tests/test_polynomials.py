@@ -1,9 +1,10 @@
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from divsum.polynomials import Polynomial, cauchy_product
+from divsum.polynomials import Polynomial, _next_row, cauchy_product
 
 F = Fraction
 
@@ -112,3 +113,10 @@ class TestPolynomial:
         p = Polynomial([5, -3, 2])  # 5 - 3x + 2x^2
         assert p.evaluate(F(1, 2)) == F(4)
         assert p.evaluate(0) == 5
+
+
+def test_next_row_steps_pascals_triangle():
+    row = [1]
+    for n in range(201):
+        assert row == [comb(n, k) for k in range(n + 1)]
+        row = _next_row(row)

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -9,6 +10,7 @@ from divsum.series import (
     NonInvertibleSeriesError,
     TruncatedSeries,
     UnknownSeriesError,
+    _reciprocal_numerators,
     known_series,
 )
 
@@ -218,6 +220,43 @@ class TestReciprocal:
             known_series("sin", 4).reciprocal()
         with pytest.raises(NonInvertibleSeriesError):
             TruncatedSeries([0, 0, 1]).reciprocal()
+
+
+class TestReciprocalNumerators:
+    """The kernel's pairs (G_n, L_n): each G_n / L_n is the coefficient, and
+    L_n is the lcm of the reduced denominators of the coefficients so far."""
+
+    @staticmethod
+    def _series(rng, shape, order):
+        # c_0 of either sign and never +-1; every other term of the series in
+        # z^shape is nonzero, so the kernel's stride reaches shape at order 40
+        c0 = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 7, 10)))
+        if abs(c0) == 1:
+            c0 *= 2
+        h = [c0] + [F(rng.choice((-1, 1)) * rng.randint(1, 30),
+                      rng.choice(_PRIMES) ** rng.randint(0, 2)) for _ in range(order // shape)]
+        return _spliced(TruncatedSeries(h), shape, order % shape)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 40])
+    @pytest.mark.parametrize("shape", [1, 2, 4], ids=["dense", "even", "z4"])
+    def test_pairs_are_the_recursion_over_the_running_lcm(self, shape, order):
+        rng = random.Random(100 * shape + order)
+        signs, unreduced = set(), 0
+        for _ in range(15):
+            f = self._series(rng, shape, order)
+            expected = _fraction_reciprocal(f.coefficients)
+            step, pairs = _reciprocal_numerators(f.coefficients)
+            assert order < 2 * shape or step == shape
+            assert len(pairs) == order // step + 1
+            assert all(not x for m, x in enumerate(expected) if m % step)
+            for n, (g, den) in enumerate(pairs):
+                assert F(g, den) == expected[n * step]
+                assert den == lcm(*(x.denominator for x in expected[: n * step + 1]))
+                unreduced += gcd(g, den) > 1
+            signs.add(f.coefficients[0] > 0)
+        assert signs == {True, False}
+        if order == 40:
+            assert unreduced > 15
 
 
 class TestSequenceSeriesRoutes:
