@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
-from math import factorial
+from math import factorial, gcd
 from operator import add, mul
 
 from .polynomials import _append_over_lcm, _next_row
@@ -153,23 +153,31 @@ def _factorials(n: int):
     return accumulate(range(1, n + 1), mul, initial=1)
 
 
+def _even_factorial_chain(n: int, s: int) -> tuple[list, list]:
+    # The reciprocal kernel's chain (rho, k) of sum_{j=0..n} w^j / (2j + s)!:
+    # rho_j = (2j + s - 1)(2j + s) steps the factorial, and every k_j is 1.
+    # s = 1 gives sinh(z)/z and s = 0 gives cosh(z), both in w = z^2.
+    return [1, *((2 * j + s - 1) * (2 * j + s) for j in range(1, n + 1))], [1] * (n + 1)
+
+
 def _bernoulli_from_sinh(order: int, weights) -> list:
     # w_m B_m / m! for m = 0..order, read off the even series
     # z/sinh(z) = sum (2 - 4^k) B_2k z^2k / (2k)!: coefficient 2k times w_2k,
-    # over 2 - 4^k.  The reciprocal's kernel gives that coefficient as an
-    # unreduced G / L, so each value is one Fraction(w G, L (2 - 4^k)),
-    # reduced once.  Of the odd values only w_1 B_1 = -w_1/2 is nonzero; it is
-    # set directly, since 2 - 2^m vanishes at m = 1.
-    step, pairs = _reciprocal_numerators(known_series("sinh_over_z", order).coefficients)
+    # over 2 - 4^k.  The kernel inverts sinh(z)/z in w = z^2 from its integer
+    # chain, no Fraction series built, and gives coefficient 2k as an
+    # unreduced G / L.  w_2k and L share h = gcd(w_2k, L), cancelled first,
+    # so each value is one Fraction(w G / h, L (2 - 4^k) / h), reduced once.
+    # Of the odd values only w_1 B_1 = -w_1/2 is nonzero; it is set
+    # directly, since 2 - 2^m vanishes at m = 1.
+    pairs = _reciprocal_numerators(*_even_factorial_chain(order // 2, 1))
     out = []
     for m, w in zip(range(order + 1), weights):
-        if m == 1:
-            out.append(Fraction(-w, 2))
-        elif m % step:
-            out.append(_ZERO)
+        if m & 1:
+            out.append(Fraction(-w, 2) if m == 1 else _ZERO)
         else:
-            g, den = pairs[m // step]
-            out.append(Fraction(w * g, den * (2 - (1 << m))))
+            g, den = pairs[m >> 1]
+            h = gcd(w, den)
+            out.append(Fraction(w // h * g, den // h * (2 - (1 << m))))
     return out
 
 
@@ -254,17 +262,21 @@ def _euler_recurrence(n_max: int) -> list:
 
 
 def _euler_series(n_max: int) -> list:
-    # E_n = n! c_n for the coefficients c_n of sec(z) = 1/cos(z).  The
-    # reciprocal's kernel gives c_n as an unreduced G / L, so one divmod of
-    # n! G by L gives E_n and decides whether it is an integer; no Fraction
-    # is built.  The odd E_n stay 0.
-    step, pairs = _reciprocal_numerators(known_series("cos", n_max).coefficients)
+    # E_n = n! c_n for the coefficients c_n of sec(z) = 1/cos(z).  cos read at
+    # w -> -w, w = z^2, is cosh, whose chain the kernel inverts in ints, no
+    # Fraction series built: sech(z) = sum g_j w^j, so c_2j = (-1)^j g_j and
+    # E_2j = (-1)^j (2j)! G_j / L_j.  L_j divides (2j)!, since every reduced
+    # denominator of E_2k / (2k)! divides (2k)!, so E_2j = +-((2j)! // L_j) G_j.
+    # Were some E_2k not an integer, the first nonzero remainder would fall at
+    # the first such k.  The odd E_n stay 0.
+    pairs = _reciprocal_numerators(*_even_factorial_chain(n_max // 2, 0))
     values = [0] * (n_max + 1)
-    factorials = islice(_factorials(n_max), 0, None, step)
-    for n, f, (g, den) in zip(range(0, n_max + 1, step), factorials, pairs):
-        values[n], r = divmod(f * g, den)
+    factorials = islice(_factorials(n_max), 0, None, 2)
+    for n, f, (g, den) in zip(range(0, n_max + 1, 2), factorials, pairs):
+        q, r = divmod(f, den)
         if r:
             raise ArithmeticError(f"secant coefficient {n} did not clear to an integer")
+        values[n] = -q * g if n & 2 else q * g
     return values
 
 
@@ -373,7 +385,8 @@ def bernoulli_generating_series(order: int) -> TruncatedSeries:
     """The series z/(e^z - 1), whose coefficient k is B_k/k!.
 
     Read off the even series z/sinh(z) = sum (2 - 4^k) B_2k z^2k / (2k)!,
-    which the reciprocal's kernel inverts in z^2: coefficient 2k is that one
+    which the reciprocal's kernel inverts in z^2 from the integer chain of
+    sinh(z)/z, with no Fraction series built: coefficient 2k is that one
     divided by 2 - 4^k, reduced once.  Of the odd coefficients only
     B_1 = -1/2 is nonzero; it is set directly, since 2 - 2^m vanishes at
     m = 1.

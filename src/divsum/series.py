@@ -9,16 +9,24 @@ The reciprocal, which the series routes to the Bernoulli and Euler numbers
 invert, runs in integers.  Each step's sum over the coefficients c_j is
 taken by Horner over the ratios rho_j = V_j / V_{j-1} of the running lcm
 V_j of their denominators, with c_j entering as the integer k_j = c_j V_j.
-For the catalogue series both are small, so every product in the sum is a
-big integer by a small one.  The kernel, :func:`_reciprocal_numerators`,
-returns each coefficient as an unreduced pair of ints (G_n, L_n); its one
-gcd per step keeps L_n the lcm of the reduced denominators so far.  The
-reciprocal reduces each pair once, and the Bernoulli and Euler series
-tables read the pairs directly, so each of their values is reduced once.
+The kernel comes in two parts.  The Fraction prep,
+:func:`_denominator_chain`, finds the stride and the chain (rho, k) from a
+series' coefficients; only :meth:`TruncatedSeries.reciprocal` uses it.  The
+integer core, :func:`_reciprocal_numerators`, inverts a chain and returns
+each coefficient as an unreduced pair of ints (G_n, L_n); its one gcd per
+step keeps L_n the lcm of the reduced denominators so far.  For the
+catalogue series rho and k are small, so every product in the sum is a big
+integer by a small one, and a unit k_j adds its term with no product at
+all.  The reciprocal reduces each pair once.  The Bernoulli and Euler
+series tables hand the core their chains directly, in w = z^2: those of
+sinh(z)/z and of cosh z, which is cos z read at w -> -w, with
+rho_j = (2j + s - 1)(2j + s) and every k_j = 1.  So they build no Fraction
+series, and they read the pairs directly, so each of their values is
+reduced once.
 
 An even series, such as cos z or sinh z / z, is inverted as a series in
-w = z^2: the kernel runs over c_0, c_2, c_4, ... only, so it takes half the
-steps, and the odd coefficients of the result are set to zero.
+w = z^2: the prep keeps c_0, c_2, c_4, ... only, so the core takes half
+the steps, and the odd coefficients of the result are set to zero.
 The reduction repeats while it applies, so a series in z^4 runs over every
 fourth coefficient.
 """
@@ -117,13 +125,16 @@ class TruncatedSeries:
 
         Uses the triangular recursion g_n = -(1/c_0) * sum_{j=1..n} c_j g_{n-j}
         with g_0 = 1/c_0; requires a nonzero constant term.  The sum runs in
-        integers, in :func:`_reciprocal_numerators`; each coefficient is the
-        pair (G_n, L_n) it returns, reduced once here as Fraction(G_n, L_n).
+        integers: :func:`_denominator_chain` turns the coefficients into a
+        chain of ints, :func:`_reciprocal_numerators` inverts it, and each
+        coefficient is the pair (G_n, L_n) it returns, reduced once here as
+        Fraction(G_n, L_n).
         A series whose nonzero coefficients sit at multiples of a stride s is
         inverted over those coefficients alone, and the result is written back
         at those indices, with exact zeros in between.
         """
-        step, pairs = _reciprocal_numerators(self.coefficients)
+        step, rho, k = _denominator_chain(self.coefficients)
+        pairs = _reciprocal_numerators(rho, k)
         out = [Fraction(0)] * len(self.coefficients)
         out[::step] = [Fraction(g, den) for g, den in pairs]
         return TruncatedSeries(out)
@@ -153,29 +164,15 @@ class TruncatedSeries:
         return [str(c) for c in self.coefficients]
 
 
-def _reciprocal_numerators(coefficients) -> tuple[int, list]:
-    """(step, pairs) with g_{n step} = G_n / L_n for each pair (G_n, L_n),
-    where g is the reciprocal of the series with the given coefficients and
-    every other g_m is zero.
+def _denominator_chain(coefficients) -> tuple[int, list, list]:
+    """(step, rho, k): the Fraction prep of the reciprocal kernel.
 
     While the coefficients read with stride s have order at least 2 and only
     zeros at their odd places, the stride doubles: f(z) = h(z^s) gives
-    1/f(z) = (1/h)(z^s), so the recursion runs over c_0, c_s, c_2s, ...
-    only.  The stride depends only on the coefficients.
-
-    g_0..g_{n-1} are held as integer numerators G_k over the lcm L of their
-    denominators.  On the c side, with V_n the lcm of the denominators of
-    c_0..c_n, the ints rho_n = V_n / V_{n-1} and k_j = c_j V_j are found
-    once; then c_j V_n = k_j rho_{j+1} ... rho_n, so the sum
-    S_n = sum_{j=1..n} (c_j V_n) G_{n-j} is taken by Horner over the rhos,
-    acc -> acc * rho_j + k_j G_{n-j} for j = 1..n, and
-    g_n = -S_n / (den L) with den = c_0 V_n = k_0 rho_1 ... rho_n.  Where
-    the k and rho are small, as for the catalogue series, every product is
-    big by small.  The least m with g_n L m an integer is den / h,
-    h = gcd(S_n, den), so L grows by that factor and G_n = -S_n / h: one
-    gcd per coefficient, and the held numerators are rescaled only when L
-    grows.  Each pair is returned as built, over the L of its own step, and
-    is not reduced.
+    1/f(z) = (1/h)(z^s), so the kernel runs over c_0, c_s, c_2s, ...
+    only.  The stride depends only on the coefficients.  Over those, with
+    V_n the lcm of the denominators of c_0..c_n, rho_n = V_n / V_{n-1}
+    (V_{-1} = 1) and k_n = c_n V_n, both ints.
     """
     c = coefficients
     if c[0] == 0:
@@ -185,13 +182,32 @@ def _reciprocal_numerators(coefficients) -> tuple[int, list]:
     step = 1
     while len(c) > 2 * step and not any(c[step :: 2 * step]):
         step *= 2
-    c = c[::step]
     rho, k, v = [], [], 1
-    for x in c:
+    for x in c[::step]:
         r = x.denominator // gcd(v, x.denominator)
         v *= r
         rho.append(r)
         k.append(x.numerator * (v // x.denominator))
+    return step, rho, k
+
+
+def _reciprocal_numerators(rho, k) -> list:
+    """Pairs (G_n, L_n) with g_n = G_n / L_n for the reciprocal g of the
+    series whose denominator chain is (rho, k), as :func:`_denominator_chain`
+    gives it; k_0 must be nonzero.
+
+    g_0..g_{n-1} are held as integer numerators G_k over the lcm L of their
+    denominators.  With c_j V_n = k_j rho_{j+1} ... rho_n, the sum
+    S_n = sum_{j=1..n} (c_j V_n) G_{n-j} is taken by Horner over the rhos,
+    acc -> acc * rho_j + k_j G_{n-j} for j = 1..n, and
+    g_n = -S_n / (den L) with den = c_0 V_n = k_0 rho_1 ... rho_n.  Where
+    the k and rho are small, as for the catalogue series, every product is
+    big by small, and a unit k_j adds G_{n-j} without multiplying it.  The
+    least m with g_n L m an integer is den / h, h = gcd(S_n, den), so L
+    grows by that factor and G_n = -S_n / h: one gcd per coefficient, and
+    the held numerators are rescaled only when L grows.  Each pair is
+    returned as built, over the L of its own step, and is not reduced.
+    """
     # g_0 = 1/c_0 = V_0 / k_0 in lowest terms.  den is kept positive: for
     # c_0 < 0 its sign moves onto the k_j, and so onto S_n.
     rho_1, k_1, den = rho[1:], k[1:], k[0]
@@ -199,11 +215,11 @@ def _reciprocal_numerators(coefficients) -> tuple[int, list]:
     if den < 0:
         k_1, den, g_nums = [-x for x in k_1], -den, [-rho[0]]
     g_den, pairs = den, [(g_nums[0], den)]
-    for n in range(1, len(c)):
+    for n in range(1, len(rho)):
         den *= rho[n]
         acc = 0
         for r, x, g in zip(rho_1, k_1, reversed(g_nums)):
-            acc = acc * r + x * g
+            acc = acc * r + (g if x == 1 else x * g)
         h = gcd(acc, den)
         missing = den // h
         if missing != 1:
@@ -211,7 +227,7 @@ def _reciprocal_numerators(coefficients) -> tuple[int, list]:
             g_den *= missing
         g_nums.append(-acc // h)
         pairs.append((g_nums[-1], g_den))
-    return step, pairs
+    return pairs
 
 
 # name -> (shift, pattern): coefficient k is pattern[k % len(pattern)] / (k + shift)!

@@ -268,10 +268,10 @@ class TestEuler:
         assert all(isinstance(v, int) for v in euler_table(20).values)
 
     def test_series_rejects_a_coefficient_that_does_not_clear(self, monkeypatch):
-        # a stand-in for cos(z) whose reciprocal has 1/6 at z^2, and 2! * 1/6 = 1/3 is
-        # not an integer; sec(z) never gives one, so a stand-in does
-        monkeypatch.setattr(sequences, "known_series",
-                            lambda name, order: TruncatedSeries([1, 0, F(-1, 6)]))
+        # a stand-in for the chain of cosh in w = z^2: 1 + w/6, the stand-in cos(z) =
+        # 1 - z^2/6 read at w -> -w.  Its sec(z) has 1/6 at z^2, and 2! * 1/6 = 1/3
+        # is not an integer; sec(z) never gives one, so a stand-in does
+        monkeypatch.setattr(sequences, "_even_factorial_chain", lambda n, s: ([1, 6], [1, 1]))
         with pytest.raises(ArithmeticError, match="^secant coefficient 2 did not clear to an integer$"):
             sequences._euler_series(2)
 

@@ -5,11 +5,12 @@ from math import gcd, lcm
 
 import pytest
 
-from divsum.sequences import bernoulli_generating_series, secant_series
+from divsum.sequences import _even_factorial_chain, bernoulli_generating_series, secant_series
 from divsum.series import (
     NonInvertibleSeriesError,
     TruncatedSeries,
     UnknownSeriesError,
+    _denominator_chain,
     _reciprocal_numerators,
     known_series,
 )
@@ -245,7 +246,8 @@ class TestReciprocalNumerators:
         for _ in range(15):
             f = self._series(rng, shape, order)
             expected = _fraction_reciprocal(f.coefficients)
-            step, pairs = _reciprocal_numerators(f.coefficients)
+            step, rho, k = _denominator_chain(f.coefficients)
+            pairs = _reciprocal_numerators(rho, k)
             assert order < 2 * shape or step == shape
             assert len(pairs) == order // step + 1
             assert all(not x for m, x in enumerate(expected) if m % step)
@@ -259,7 +261,61 @@ class TestReciprocalNumerators:
             assert unreduced > 15
 
 
+    @staticmethod
+    def _chain(rng):
+        # a chain whose k_j are 1 about half the time, and otherwise -1, 0 or
+        # another small int; c_j = k_j / (rho_0 ... rho_j)
+        order = rng.randint(0, 40)
+        rho = [rng.randint(1, 12) for _ in range(order + 1)]
+        k = [rng.choice((1, 2, 3, 5))] + [rng.choice((1, 1, 1, -1, 0, 2, -3, 7))
+                                           for _ in range(order)]
+        return rho, k
+
+    @staticmethod
+    def _series_of(rho, k):
+        v, coeffs = 1, []
+        for r, x in zip(rho, k):
+            v *= r
+            coeffs.append(F(x, v))
+        return coeffs
+
+    def test_core_on_chains_that_mix_unit_and_other_k(self):
+        # both arms of the Horner step: a unit k_j adds G, any other multiplies
+        rng = random.Random(24)
+        units = others = 0
+        for _ in range(60):
+            rho, k = self._chain(rng)
+            expected = _fraction_reciprocal(self._series_of(rho, k))
+            assert tuple(F(g, den) for g, den in _reciprocal_numerators(rho, k)) == expected
+            units += k[1:].count(1)
+            others += sum(x != 1 for x in k[1:])
+        assert min(units, others) > 200
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 40])
+    def test_negative_constant_term_flips_every_unit_k(self, order):
+        # c_0 = -1 over the sinh(z)/z chain in w: the sign fold turns every
+        # k_j = 1 into -1, so each step takes the multiplying arm
+        rho, k = _even_factorial_chain(order, 1)
+        k[0] = -1
+        expected = _fraction_reciprocal(self._series_of(rho, k))
+        assert tuple(F(g, den) for g, den in _reciprocal_numerators(rho, k)) == expected
+
+
 class TestSequenceSeriesRoutes:
+    @pytest.mark.parametrize("name, s, sign", [("sinh_over_z", 1, 1), ("cos", 0, -1)])
+    def test_builder_chains_are_the_prep_of_the_catalogue(self, name, s, sign):
+        # the chain the series builders hand the kernel is the prep of the
+        # catalogue series, with cos read at w -> -w: same rho, k_j = sign^j
+        for n in range(81):
+            step, rho, k = _denominator_chain(known_series(name, n).coefficients)
+            assert step == (2 if n >= 2 else 1)
+            # below order 2 the prep keeps stride 1; its even entries are the chain
+            rho, k = rho[:: 2 // step], k[:: 2 // step]
+            chain_rho, chain_k = _even_factorial_chain(n // 2, s)
+            assert chain_rho == rho
+            assert chain_k == [1] * len(k)
+            assert k == [sign ** j for j in range(len(k))]
+
     @pytest.mark.parametrize("order", range(4))
     def test_edge_orders_match_fraction_recursion(self, order):
         # below order 2 no reduction happens; at order 1 the Bernoulli route
