@@ -156,8 +156,10 @@ def _factorials(n: int):
 def _even_factorial_chain(n: int, s: int) -> tuple[list, list]:
     # The reciprocal kernel's chain (rho, k) of sum_{j=0..n} w^j / (2j + s)!:
     # rho_j = (2j + s - 1)(2j + s) steps the factorial, and every k_j is 1.
-    # s = 1 gives sinh(z)/z and s = 0 gives cosh(z), both in w = z^2.
-    return [1, *((2 * j + s - 1) * (2 * j + s) for j in range(1, n + 1))], [1] * (n + 1)
+    # s = 1 gives sinh(z)/z and s = 0 gives cosh(z), both in w = z^2.  At
+    # n < 0 both lists hold the constant term alone.
+    rho = [1, *((2 * j + s - 1) * (2 * j + s) for j in range(1, n + 1))]
+    return rho, [1] * len(rho)
 
 
 def _bernoulli_from_sinh(order: int, weights) -> list:
@@ -395,26 +397,29 @@ def bernoulli_generating_series(order: int) -> TruncatedSeries:
 
 
 def secant_series(order: int) -> TruncatedSeries:
-    """The series sec(z) = 1/cos(z), whose coefficient n is E_n/n!."""
-    return known_series("cos", order).reciprocal()
+    """The series sec(z) = 1/cos(z), whose coefficient n is E_n/n!.
+
+    Read off the chain of cosh z that the Euler series table inverts: with
+    sech(z) = sum G_j / L_j z^2j, coefficient 2j of sec(z) is
+    (-1)^j G_j / L_j, reduced once, and the odd coefficients are 0.
+    """
+    pairs = _reciprocal_numerators(*_even_factorial_chain(order // 2, 0))
+    out = []
+    for m in range(order + 1):
+        g, den = pairs[m >> 1]
+        out.append(_ZERO if m & 1 else Fraction(-g if m & 2 else g, den))
+    return TruncatedSeries(out)
 
 
 def cotangent_series(order: int) -> TruncatedSeries:
-    """The series z*cot(z), built from the even part of z/(e^z - 1).
+    """The series z*cot(z), read off z/sinh(z) as z/(e^z - 1) is.
 
-    Substituting 2iz stays rational: the even coefficients just pick up the
-    sign pattern (-1)^k 2^(2k), and the lone odd coefficient (B_1) drops out
-    because z*cot(z) is even.
+    Substituting 2iz stays rational: coefficient 2k is B_2k/(2k)! weighted
+    by (-4)^k, and the odd coefficients are 0, B_1 included, because
+    z*cot(z) is even.
     """
-    base = bernoulli_generating_series(order)
-    out = []
-    for m, c in enumerate(base.coefficients):
-        if m % 2 == 1:
-            out.append(Fraction(0))
-        else:
-            k = m // 2
-            out.append(c * (-1) ** k * 2 ** (2 * k))
-    return TruncatedSeries(out)
+    weights = (0 if m & 1 else (-4) ** (m >> 1) for m in range(order + 1))
+    return TruncatedSeries(_bernoulli_from_sinh(order, weights))
 
 
 def tangent_series(order: int) -> TruncatedSeries:

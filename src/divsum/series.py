@@ -5,30 +5,15 @@ A :class:`TruncatedSeries` stores coefficients c_0..c_N of
 operand order; nothing is ever padded silently.  Coefficients are exact
 Fractions, so equality of series is exact equality of coefficient lists.
 
-The reciprocal, which the series routes to the Bernoulli and Euler numbers
-invert, runs in integers.  Each step's sum over the coefficients c_j is
-taken by Horner over the ratios rho_j = V_j / V_{j-1} of the running lcm
-V_j of their denominators, with c_j entering as the integer k_j = c_j V_j.
-The kernel comes in two parts.  The Fraction prep,
-:func:`_denominator_chain`, finds the stride and the chain (rho, k) from a
-series' coefficients; only :meth:`TruncatedSeries.reciprocal` uses it.  The
+The reciprocal runs in integers, in two parts.  The Fraction prep,
+:func:`_denominator_chain`, turns a series' coefficients into a chain
+(rho, k) of ints; only :meth:`TruncatedSeries.reciprocal` uses it.  The
 integer core, :func:`_reciprocal_numerators`, inverts a chain and returns
-each coefficient as an unreduced pair of ints (G_n, L_n); its one gcd per
-step keeps L_n the lcm of the reduced denominators so far.  For the
-catalogue series rho and k are small, so every product in the sum is a big
-integer by a small one, and a unit k_j adds its term with no product at
-all.  The reciprocal reduces each pair once.  The Bernoulli and Euler
-series tables hand the core their chains directly, in w = z^2: those of
-sinh(z)/z and of cosh z, which is cos z read at w -> -w, with
-rho_j = (2j + s - 1)(2j + s) and every k_j = 1.  So they build no Fraction
-series, and they read the pairs directly, so each of their values is
-reduced once.
-
-An even series, such as cos z or sinh z / z, is inverted as a series in
-w = z^2: the prep keeps c_0, c_2, c_4, ... only, so the core takes half
-the steps, and the odd coefficients of the result are set to zero.
-The reduction repeats while it applies, so a series in z^4 runs over every
-fourth coefficient.
+each coefficient as an unreduced pair of ints (G_n, L_n).  The series
+routes to the Bernoulli and Euler numbers hand the core their chains
+directly, in w = z^2: those of sinh(z)/z and of cosh z, with
+rho_j = (2j + s - 1)(2j + s) and every k_j = 1, so they build no Fraction
+series and reduce each value once.
 """
 
 from __future__ import annotations
@@ -129,15 +114,9 @@ class TruncatedSeries:
         chain of ints, :func:`_reciprocal_numerators` inverts it, and each
         coefficient is the pair (G_n, L_n) it returns, reduced once here as
         Fraction(G_n, L_n).
-        A series whose nonzero coefficients sit at multiples of a stride s is
-        inverted over those coefficients alone, and the result is written back
-        at those indices, with exact zeros in between.
         """
-        step, rho, k = _denominator_chain(self.coefficients)
-        pairs = _reciprocal_numerators(rho, k)
-        out = [Fraction(0)] * len(self.coefficients)
-        out[::step] = [Fraction(g, den) for g, den in pairs]
-        return TruncatedSeries(out)
+        pairs = _reciprocal_numerators(*_denominator_chain(self.coefficients))
+        return TruncatedSeries([Fraction(g, den) for g, den in pairs])
 
     def scale_variable(self, factor) -> "TruncatedSeries":
         """Substitute z -> factor*z, i.e. c_k -> factor^k * c_k."""
@@ -164,14 +143,10 @@ class TruncatedSeries:
         return [str(c) for c in self.coefficients]
 
 
-def _denominator_chain(coefficients) -> tuple[int, list, list]:
-    """(step, rho, k): the Fraction prep of the reciprocal kernel.
+def _denominator_chain(coefficients) -> tuple[list, list]:
+    """(rho, k): the Fraction prep of the reciprocal kernel.
 
-    While the coefficients read with stride s have order at least 2 and only
-    zeros at their odd places, the stride doubles: f(z) = h(z^s) gives
-    1/f(z) = (1/h)(z^s), so the kernel runs over c_0, c_s, c_2s, ...
-    only.  The stride depends only on the coefficients.  Over those, with
-    V_n the lcm of the denominators of c_0..c_n, rho_n = V_n / V_{n-1}
+    With V_n the lcm of the denominators of c_0..c_n, rho_n = V_n / V_{n-1}
     (V_{-1} = 1) and k_n = c_n V_n, both ints.
     """
     c = coefficients
@@ -179,16 +154,13 @@ def _denominator_chain(coefficients) -> tuple[int, list, list]:
         raise NonInvertibleSeriesError(
             "series with zero constant term has no reciprocal"
         )
-    step = 1
-    while len(c) > 2 * step and not any(c[step :: 2 * step]):
-        step *= 2
     rho, k, v = [], [], 1
-    for x in c[::step]:
+    for x in c:
         r = x.denominator // gcd(v, x.denominator)
         v *= r
         rho.append(r)
         k.append(x.numerator * (v // x.denominator))
-    return step, rho, k
+    return rho, k
 
 
 def _reciprocal_numerators(rho, k) -> list:

@@ -5,7 +5,13 @@ from math import gcd, lcm
 
 import pytest
 
-from divsum.sequences import _even_factorial_chain, bernoulli_generating_series, secant_series
+from divsum.sequences import (
+    _even_factorial_chain,
+    bernoulli_generating_series,
+    cotangent_series,
+    secant_series,
+    tangent_series,
+)
 from divsum.series import (
     NonInvertibleSeriesError,
     TruncatedSeries,
@@ -153,9 +159,10 @@ class TestReciprocal:
 
     @pytest.mark.parametrize("step", [2, 4])
     def test_matches_fraction_recursion_on_random_spliced_series(self, step):
-        # even series (step 2) and series in z^4 (step 4) take the reduced path
+        # even series (step 2) and series in z^4 (step 4) run through the full
+        # kernel; the coefficients off the step come out as exact zeros
         rng = random.Random(step)
-        reduced = 0
+        sparse = 0
         for _ in range(40):
             f = _spliced(_random_series(rng), step, rng.randint(0, step - 1))
             g = f.reciprocal()
@@ -163,8 +170,8 @@ class TestReciprocal:
             assert f * g == TruncatedSeries.one(f.order)
             assert all(type(x) is F and x == 0
                        for m, x in enumerate(g.coefficients) if m % step)
-            reduced += f.order >= 2
-        assert reduced > 30
+            sparse += f.order >= step
+        assert sparse > 30
 
     def test_coprime_denominators(self):
         f = TruncatedSeries([F(-2, 3), 0, 0] + [F(1, p) for p in _PRIMES])
@@ -192,12 +199,12 @@ class TestReciprocal:
         # order 0 and order 1
         [F(-7, 3)],
         [F(-7, 3), F(11, 5)],
-        # even up to a nonzero last odd coefficient: no reduction
+        # even up to a nonzero last odd coefficient
         [F(2, 3), 0, F(1, 5), 0, F(-1, 7), F(3, 11)],
-        # the shortest even series that reduces, and one with an odd order
+        # the shortest even series with a zero odd coefficient, and one with an odd order
         [F(2, 3), 0, F(1, 5)],
         [F(2, 3), 0, F(1, 5), 0],
-        # even but not a series in z^4: one halving, then the full kernel
+        # even but not a series in z^4
         [1, 0, F(1, 3), 0, F(1, 5), 0, F(1, 7), 0, F(1, 9)],
         # a series in z^8
         [F(5, 2)] + ([0] * 7 + [F(-1, 3)]) * 4,
@@ -208,6 +215,7 @@ class TestReciprocal:
         f = TruncatedSeries(coeffs)
         g = f.reciprocal()
         assert g.coefficients == _fraction_reciprocal(f.coefficients)
+        assert all(type(x) is F for x in g.coefficients)
         assert f * g == TruncatedSeries.one(f.order)
 
     @pytest.mark.parametrize("name", ["exp", "cos", "expm1_over_z"])
@@ -229,8 +237,8 @@ class TestReciprocalNumerators:
 
     @staticmethod
     def _series(rng, shape, order):
-        # c_0 of either sign and never +-1; every other term of the series in
-        # z^shape is nonzero, so the kernel's stride reaches shape at order 40
+        # c_0 of either sign and never +-1; every term of the series in
+        # z^shape is nonzero, and every term off the multiples of shape is zero
         c0 = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 7, 10)))
         if abs(c0) == 1:
             c0 *= 2
@@ -246,14 +254,14 @@ class TestReciprocalNumerators:
         for _ in range(15):
             f = self._series(rng, shape, order)
             expected = _fraction_reciprocal(f.coefficients)
-            step, rho, k = _denominator_chain(f.coefficients)
+            rho, k = _denominator_chain(f.coefficients)
             pairs = _reciprocal_numerators(rho, k)
-            assert order < 2 * shape or step == shape
-            assert len(pairs) == order // step + 1
-            assert all(not x for m, x in enumerate(expected) if m % step)
+            assert len(rho) == len(k) == len(pairs) == order + 1
+            assert all(rho[m] == 1 and k[m] == 0 and not expected[m]
+                       for m in range(order + 1) if m % shape)
             for n, (g, den) in enumerate(pairs):
-                assert F(g, den) == expected[n * step]
-                assert den == lcm(*(x.denominator for x in expected[: n * step + 1]))
+                assert F(g, den) == expected[n]
+                assert den == lcm(*(x.denominator for x in expected[: n + 1]))
                 unreduced += gcd(g, den) > 1
             signs.add(f.coefficients[0] > 0)
         assert signs == {True, False}
@@ -304,26 +312,42 @@ class TestReciprocalNumerators:
 class TestSequenceSeriesRoutes:
     @pytest.mark.parametrize("name, s, sign", [("sinh_over_z", 1, 1), ("cos", 0, -1)])
     def test_builder_chains_are_the_prep_of_the_catalogue(self, name, s, sign):
-        # the chain the series builders hand the kernel is the prep of the
-        # catalogue series, with cos read at w -> -w: same rho, k_j = sign^j
+        # the chain the series builders hand the kernel is the even part of
+        # the prep of the catalogue series, with cos read at w -> -w: same
+        # rho, k_j = sign^j; the odd entries carry the zero coefficients
         for n in range(81):
-            step, rho, k = _denominator_chain(known_series(name, n).coefficients)
-            assert step == (2 if n >= 2 else 1)
-            # below order 2 the prep keeps stride 1; its even entries are the chain
-            rho, k = rho[:: 2 // step], k[:: 2 // step]
+            rho, k = _denominator_chain(known_series(name, n).coefficients)
+            assert rho[1::2] == [1] * (n // 2 + n % 2)
+            assert k[1::2] == [0] * (n // 2 + n % 2)
             chain_rho, chain_k = _even_factorial_chain(n // 2, s)
-            assert chain_rho == rho
-            assert chain_k == [1] * len(k)
-            assert k == [sign ** j for j in range(len(k))]
+            assert chain_rho == rho[::2]
+            assert chain_k == [1] * len(chain_rho)
+            assert k[::2] == [sign ** j for j in range(len(chain_rho))]
 
-    @pytest.mark.parametrize("order", range(4))
+    @pytest.mark.parametrize("order", [*range(61), 300])
     def test_edge_orders_match_fraction_recursion(self, order):
-        # below order 2 no reduction happens; at order 1 the Bernoulli route
-        # sets B_1 itself, where its factor 2 - 2^m is zero
-        assert bernoulli_generating_series(order).coefficients == \
+        # the chain routes against the routes they replaced: the Bernoulli
+        # route sets B_1 itself, where its factor 2 - 2^m is zero; sec z was
+        # 1/cos z, and z cot z the even part of z/(e^z - 1) at z -> 2iz
+        bernoulli = bernoulli_generating_series(order)
+        secant = secant_series(order)
+        cotangent = cotangent_series(order)
+        assert bernoulli.coefficients == \
             _fraction_reciprocal(known_series("expm1_over_z", order).coefficients)
-        assert secant_series(order).coefficients == \
+        assert secant.coefficients == \
             _fraction_reciprocal(known_series("cos", order).coefficients)
+        assert cotangent.coefficients == tuple(
+            F(0) if m % 2 else c * (-1) ** (m // 2) * 4 ** (m // 2)
+            for m, c in enumerate(bernoulli.coefficients))
+        for series in (bernoulli, secant, cotangent):
+            assert all(type(c) is F for c in series.coefficients)
+
+    @pytest.mark.parametrize("order", [-1, -3])
+    @pytest.mark.parametrize("builder", [bernoulli_generating_series, secant_series,
+                                         cotangent_series, tangent_series])
+    def test_negative_orders_are_empty_series(self, builder, order):
+        with pytest.raises(ValueError, match="needs at least the constant term"):
+            builder(order)
 
     @pytest.mark.parametrize("order", [*range(61), 300])
     def test_bernoulli_matches_expm1_reference_route(self, order):
