@@ -25,7 +25,7 @@ from math import factorial, gcd
 from operator import add, mul
 
 from .polynomials import _append_over_lcm, _next_row
-from .series import TruncatedSeries, _reciprocal_numerators, known_series
+from .series import TruncatedSeries, _reciprocal_numerators
 
 __all__ = [
     "BERNOULLI_METHODS",
@@ -153,13 +153,12 @@ def _factorials(n: int):
     return accumulate(range(1, n + 1), mul, initial=1)
 
 
-def _even_factorial_chain(n: int, s: int) -> tuple[list, list]:
-    # The reciprocal kernel's chain (rho, k) of sum_{j=0..n} w^j / (2j + s)!:
-    # rho_j = (2j + s - 1)(2j + s) steps the factorial, and every k_j is 1.
-    # s = 1 gives sinh(z)/z and s = 0 gives cosh(z), both in w = z^2.  At
-    # n < 0 both lists hold the constant term alone.
-    rho = [1, *((2 * j + s - 1) * (2 * j + s) for j in range(1, n + 1))]
-    return rho, [1] * len(rho)
+def _even_factorial_chain(n: int, s: int) -> list:
+    # The reciprocal kernel's chain rho of sum_{j=0..n} w^j / (2j + s)!:
+    # rho_j = (2j + s - 1)(2j + s) steps the factorial.  s = 1 gives
+    # sinh(z)/z and s = 0 gives cosh(z), both in w = z^2.  At n < 0 the
+    # chain holds the constant term alone.
+    return [1, *((2 * j + s - 1) * (2 * j + s) for j in range(1, n + 1))]
 
 
 def _bernoulli_from_sinh(order: int, weights) -> list:
@@ -171,7 +170,7 @@ def _bernoulli_from_sinh(order: int, weights) -> list:
     # so each value is one Fraction(w G / h, L (2 - 4^k) / h), reduced once.
     # Of the odd values only w_1 B_1 = -w_1/2 is nonzero; it is set
     # directly, since 2 - 2^m vanishes at m = 1.
-    pairs = _reciprocal_numerators(*_even_factorial_chain(order // 2, 1))
+    pairs = _reciprocal_numerators(_even_factorial_chain(order // 2, 1))
     out = []
     for m, w in zip(range(order + 1), weights):
         if m & 1:
@@ -271,7 +270,7 @@ def _euler_series(n_max: int) -> list:
     # denominator of E_2k / (2k)! divides (2k)!, so E_2j = +-((2j)! // L_j) G_j.
     # Were some E_2k not an integer, the first nonzero remainder would fall at
     # the first such k.  The odd E_n stay 0.
-    pairs = _reciprocal_numerators(*_even_factorial_chain(n_max // 2, 0))
+    pairs = _reciprocal_numerators(_even_factorial_chain(n_max // 2, 0))
     values = [0] * (n_max + 1)
     factorials = islice(_factorials(n_max), 0, None, 2)
     for n, f, (g, den) in zip(range(0, n_max + 1, 2), factorials, pairs):
@@ -403,7 +402,7 @@ def secant_series(order: int) -> TruncatedSeries:
     sech(z) = sum G_j / L_j z^2j, coefficient 2j of sec(z) is
     (-1)^j G_j / L_j, reduced once, and the odd coefficients are 0.
     """
-    pairs = _reciprocal_numerators(*_even_factorial_chain(order // 2, 0))
+    pairs = _reciprocal_numerators(_even_factorial_chain(order // 2, 0))
     out = []
     for m in range(order + 1):
         g, den = pairs[m >> 1]
@@ -423,8 +422,15 @@ def cotangent_series(order: int) -> TruncatedSeries:
 
 
 def tangent_series(order: int) -> TruncatedSeries:
-    """The series tan(z) = sin(z) * sec(z)."""
-    return known_series("sin", order) * secant_series(order)
+    """The series tan(z), whose coefficient 2k - 1 is Tan_k / (2k - 1)!.
+
+    Read off the tangent numbers Tan_1..Tan_K, K = (order + 1) // 2, each
+    reduced once over its factorial; the even coefficients are 0.
+    """
+    out = [_ZERO] * (order + 1)
+    out[1::2] = map(Fraction, _tangent_numbers((order + 1) // 2),
+                    islice(_factorials(order), 1, None, 2))
+    return TruncatedSeries(out)
 
 
 def _checked(identity: str, params: dict, lhs: Fraction, rhs: Fraction) -> VerificationReport:

@@ -5,41 +5,24 @@ A :class:`TruncatedSeries` stores coefficients c_0..c_N of
 operand order; nothing is ever padded silently.  Coefficients are exact
 Fractions, so equality of series is exact equality of coefficient lists.
 
-The reciprocal runs in integers, in two parts.  The Fraction prep,
-:func:`_denominator_chain`, turns a series' coefficients into a chain
-(rho, k) of ints; only :meth:`TruncatedSeries.reciprocal` uses it.  The
-integer core, :func:`_reciprocal_numerators`, inverts a chain and returns
-each coefficient as an unreduced pair of ints (G_n, L_n).  The series
-routes to the Bernoulli and Euler numbers hand the core their chains
-directly, in w = z^2: those of sinh(z)/z and of cosh z, with
-rho_j = (2j + s - 1)(2j + s) and every k_j = 1, so they build no Fraction
-series and reduce each value once.
+The one reciprocal is the integer kernel :func:`_reciprocal_numerators`.
+It inverts the series with coefficients c_j = 1 / (rho_0 rho_1 ... rho_j),
+given as its chain rho of positive ints, and returns each coefficient as
+an unreduced pair of ints (G_n, L_n).  The series routes to the Bernoulli
+and Euler numbers hand it the chains of sinh(z)/z and of cosh z in
+w = z^2, rho_j = (2j + s - 1)(2j + s), so they build no Fraction series
+and reduce each value once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, cycle, islice
 from math import gcd
-from operator import mul
 
 from .polynomials import cauchy_product
 
-__all__ = [
-    "NonInvertibleSeriesError",
-    "TruncatedSeries",
-    "UnknownSeriesError",
-    "known_series",
-]
-
-
-class NonInvertibleSeriesError(ZeroDivisionError):
-    """Reciprocal of a series whose constant term is zero."""
-
-
-class UnknownSeriesError(ValueError):
-    """Requested named series is not in the catalogue."""
+__all__ = ["TruncatedSeries"]
 
 
 @dataclass(frozen=True)
@@ -65,14 +48,6 @@ class TruncatedSeries:
                 f"coefficient index {k} beyond truncation order {self.order}"
             )
         return self.coefficients[k]
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(0)] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
 
     @classmethod
     def monomial(cls, order: int, k: int = 1, coefficient=1) -> "TruncatedSeries":
@@ -105,29 +80,6 @@ class TruncatedSeries:
         n = min(self.order, other.order) + 1
         return TruncatedSeries(cauchy_product(self.coefficients, other.coefficients, n))
 
-    def reciprocal(self) -> "TruncatedSeries":
-        """Series g with self * g = 1 + O(z^(N+1)).
-
-        Uses the triangular recursion g_n = -(1/c_0) * sum_{j=1..n} c_j g_{n-j}
-        with g_0 = 1/c_0; requires a nonzero constant term.  The sum runs in
-        integers: :func:`_denominator_chain` turns the coefficients into a
-        chain of ints, :func:`_reciprocal_numerators` inverts it, and each
-        coefficient is the pair (G_n, L_n) it returns, reduced once here as
-        Fraction(G_n, L_n).
-        """
-        pairs = _reciprocal_numerators(*_denominator_chain(self.coefficients))
-        return TruncatedSeries([Fraction(g, den) for g, den in pairs])
-
-    def scale_variable(self, factor) -> "TruncatedSeries":
-        """Substitute z -> factor*z, i.e. c_k -> factor^k * c_k."""
-        factor = Fraction(factor)
-        power = Fraction(1)
-        out = []
-        for c in self.coefficients:
-            out.append(c * power)
-            power *= factor
-        return TruncatedSeries(out)
-
     def __str__(self) -> str:
         parts = [str(self.coefficients[0])]
         for k, c in enumerate(self.coefficients[1:], start=1):
@@ -143,55 +95,28 @@ class TruncatedSeries:
         return [str(c) for c in self.coefficients]
 
 
-def _denominator_chain(coefficients) -> tuple[list, list]:
-    """(rho, k): the Fraction prep of the reciprocal kernel.
-
-    With V_n the lcm of the denominators of c_0..c_n, rho_n = V_n / V_{n-1}
-    (V_{-1} = 1) and k_n = c_n V_n, both ints.
-    """
-    c = coefficients
-    if c[0] == 0:
-        raise NonInvertibleSeriesError(
-            "series with zero constant term has no reciprocal"
-        )
-    rho, k, v = [], [], 1
-    for x in c:
-        r = x.denominator // gcd(v, x.denominator)
-        v *= r
-        rho.append(r)
-        k.append(x.numerator * (v // x.denominator))
-    return rho, k
-
-
-def _reciprocal_numerators(rho, k) -> list:
+def _reciprocal_numerators(rho) -> list:
     """Pairs (G_n, L_n) with g_n = G_n / L_n for the reciprocal g of the
-    series whose denominator chain is (rho, k), as :func:`_denominator_chain`
-    gives it; k_0 must be nonzero.
+    series c_j = 1 / (rho_0 rho_1 ... rho_j), rho a list of positive ints.
 
     g_0..g_{n-1} are held as integer numerators G_k over the lcm L of their
-    denominators.  With c_j V_n = k_j rho_{j+1} ... rho_n, the sum
-    S_n = sum_{j=1..n} (c_j V_n) G_{n-j} is taken by Horner over the rhos,
-    acc -> acc * rho_j + k_j G_{n-j} for j = 1..n, and
-    g_n = -S_n / (den L) with den = c_0 V_n = k_0 rho_1 ... rho_n.  Where
-    the k and rho are small, as for the catalogue series, every product is
-    big by small, and a unit k_j adds G_{n-j} without multiplying it.  The
-    least m with g_n L m an integer is den / h, h = gcd(S_n, den), so L
-    grows by that factor and G_n = -S_n / h: one gcd per coefficient, and
-    the held numerators are rescaled only when L grows.  Each pair is
-    returned as built, over the L of its own step, and is not reduced.
+    denominators.  With V_n = rho_0 ... rho_n, c_j V_n = rho_{j+1} ... rho_n,
+    so the sum S_n = sum_{j=1..n} (c_j V_n) G_{n-j} is taken by Horner over
+    the rhos, acc -> acc * rho_j + G_{n-j} for j = 1..n: one big-by-small
+    multiply and one add a step.  Then g_n = -S_n / (den L) with
+    den = c_0 V_n = rho_1 ... rho_n.  The least m with g_n L m an integer
+    is den / h, h = gcd(S_n, den), so L grows by that factor and
+    G_n = -S_n / h: one gcd per coefficient, and the held numerators are
+    rescaled only when L grows.  Each pair is returned as built, over the L
+    of its own step, and is not reduced.
     """
-    # g_0 = 1/c_0 = V_0 / k_0 in lowest terms.  den is kept positive: for
-    # c_0 < 0 its sign moves onto the k_j, and so onto S_n.
-    rho_1, k_1, den = rho[1:], k[1:], k[0]
-    g_nums = [rho[0]]
-    if den < 0:
-        k_1, den, g_nums = [-x for x in k_1], -den, [-rho[0]]
-    g_den, pairs = den, [(g_nums[0], den)]
+    rho_1, g_nums, pairs = rho[1:], [rho[0]], [(rho[0], 1)]  # g_0 = 1/c_0 = rho_0
+    den = g_den = 1
     for n in range(1, len(rho)):
         den *= rho[n]
         acc = 0
-        for r, x, g in zip(rho_1, k_1, reversed(g_nums)):
-            acc = acc * r + (g if x == 1 else x * g)
+        for r, g in zip(rho_1, reversed(g_nums)):
+            acc = acc * r + g
         h = gcd(acc, den)
         missing = den // h
         if missing != 1:
@@ -200,33 +125,3 @@ def _reciprocal_numerators(rho, k) -> list:
         g_nums.append(-acc // h)
         pairs.append((g_nums[-1], g_den))
     return pairs
-
-
-# name -> (shift, pattern): coefficient k is pattern[k % len(pattern)] / (k + shift)!
-_CATALOGUE: dict[str, tuple[int, tuple[int, ...]]] = {
-    "exp": (0, (1,)),
-    "sin": (0, (0, 1, 0, -1)),
-    "cos": (0, (1, 0, -1, 0)),
-    "expm1_over_z": (1, (1,)),  # (e^z - 1)/z = sum z^k / (k+1)!
-    "sinh_over_z": (1, (1, 0)),  # sinh(z)/z = sum z^(2j) / (2j+1)!
-}
-
-
-def known_series(name: str, order: int) -> TruncatedSeries:
-    """Exact Taylor series of a named elementary function, to the given order.
-
-    Known names: exp, sin, cos, expm1_over_z (the series of (e^z - 1)/z) and
-    sinh_over_z (the series of sinh(z)/z).  Each has a periodic integer
-    numerator over (k + shift)! at z^k; the factorials are stepped, one
-    small multiply per coefficient.
-    """
-    try:
-        shift, pattern = _CATALOGUE[name]
-    except KeyError:
-        raise UnknownSeriesError(
-            f"unknown series {name!r}; choose from {sorted(_CATALOGUE)}"
-        ) from None
-    factorials = islice(accumulate(count(1), mul, initial=1), shift, None)
-    return TruncatedSeries(
-        [Fraction(p, f) for _, p, f in zip(range(order + 1), cycle(pattern), factorials)]
-    )

@@ -1,19 +1,22 @@
 """Exact rational arithmetic as divsum does it.
 
-Binomial rows come from polynomial powers, factorial reciprocals from the
-exponential series, and rationals are read by the series parser and
+Binomial rows come from polynomial powers, factorials from the stepped
+chains of the series routes, and rationals are read by the series parser and
 printed by the CLI in the canonical ``p/q`` or ``p`` form.
 """
 
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 
 from divsum.cli import run_command
 from divsum.parsing import parse_series
 from divsum.polynomials import Polynomial, cauchy_product
-from divsum.series import TruncatedSeries, known_series
+from divsum.sequences import _even_factorial_chain, _factorials, bernoulli_generating_series
+from divsum.series import TruncatedSeries
 
 
 def binomial_product_oracle(n, k):
@@ -69,15 +72,21 @@ class TestBinomial:
 
 class TestFactorial:
     def test_values(self):
-        exp = known_series("exp", 20)
-        assert 1 / exp.coefficient(0) == 1
-        assert 1 / exp.coefficient(5) == 120
-        assert 1 / exp.coefficient(20) == factorial_product_oracle(20)
-        assert 1 / exp.coefficient(20) == 2432902008176640000
+        facts = list(_factorials(20))
+        assert facts[0] == 1
+        assert facts[5] == 120
+        assert facts[20] == factorial_product_oracle(20)
+        assert facts[20] == 2432902008176640000
+
+    def test_even_chains_step_the_factorials(self):
+        # the running products of the reciprocal kernel's chains are (2j + s)!
+        for s in (0, 1):
+            steps = accumulate(_even_factorial_chain(20, s), mul)
+            assert list(steps) == [factorial_product_oracle(2 * j + s) for j in range(21)]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            known_series("exp", -3)
+            bernoulli_generating_series(-3)
 
 
 class TestRationalArith:

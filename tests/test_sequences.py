@@ -38,7 +38,7 @@ from divsum.sequences import (
     verify_weighted_recursion,
     weighted_bernoulli,
 )
-from divsum.series import TruncatedSeries, known_series
+from divsum.series import TruncatedSeries
 
 F = Fraction
 
@@ -67,6 +67,15 @@ def garabedian_by_differences(n_max):
         total = sum(inner << (n - i) for i, inner in enumerate(d))  # over 2^(n+1)
         values.append(F(m * total, (2 ** m - 1) * 2 ** m))
     return values
+
+
+def sin_sec_product(order):
+    """tan z as sin z times sec z, built here in Fractions: sin z from its
+    Taylor coefficients, sec z from the Euler recurrence table as E_n / n!.
+    It shares no step with the tangent numbers."""
+    sin = TruncatedSeries([F((0, 1, 0, -1)[m % 4], factorial(m)) for m in range(order + 1)])
+    sec = TruncatedSeries([F(e, factorial(n)) for n, e in enumerate(euler_table(order).values)])
+    return sin * sec
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +280,7 @@ class TestEuler:
         # a stand-in for the chain of cosh in w = z^2: 1 + w/6, the stand-in cos(z) =
         # 1 - z^2/6 read at w -> -w.  Its sec(z) has 1/6 at z^2, and 2! * 1/6 = 1/3
         # is not an integer; sec(z) never gives one, so a stand-in does
-        monkeypatch.setattr(sequences, "_even_factorial_chain", lambda n, s: ([1, 6], [1, 1]))
+        monkeypatch.setattr(sequences, "_even_factorial_chain", lambda n, s: [1, 6])
         with pytest.raises(ArithmeticError, match="^secant coefficient 2 did not clear to an integer$"):
             sequences._euler_series(2)
 
@@ -352,12 +361,13 @@ class TestTrigCoefficients:
             assert tan_coefficient(m) == old, m
 
     def test_tan_matches_product_series_at_61(self):
-        tan = tangent_series(61)
+        tan = sin_sec_product(61)
         for m in range(1, 62, 2):
             assert tan_coefficient(m) == tan.coefficient(m), m
 
     def test_tan_matches_product_series(self):
         tan = tangent_series(21)
+        assert tan == sin_sec_product(21)
         for m in range(1, 22, 2):
             assert tan.coefficient(m) == tan_coefficient(m)
         assert all(tan.coefficient(m) == 0 for m in range(0, 22, 2))
@@ -385,7 +395,8 @@ class TestTrigCoefficients:
         n = 20
         z_tan = TruncatedSeries.monomial(n, 1) * tangent_series(n)
         cot = cotangent_series(n)
-        assert z_tan == cot - cot.scale_variable(2)
+        cot_2z = TruncatedSeries([c * 2 ** m for m, c in enumerate(cot.coefficients)])
+        assert z_tan == cot - cot_2z
 
     def test_cleared_identity_joins_both_coefficient_routes(self):
         # coefficient of z^(2n): tan side vs (1 - 2^(2n)) times the cot side
@@ -415,15 +426,13 @@ class TestSeriesRoutes:
             fact *= n + 1
 
     def test_weighted_values_are_exp_ratio_coefficients(self):
-        # -1/(1 + e^z) has coefficient (2^(k+1)-1)/(k+1) B_{k+1} / k!
+        # -1/(1 + e^z) has coefficient (2^(k+1)-1)/(k+1) B_{k+1} / k!, so the
+        # series of those values times 1 + e^z is -1
         n = 18
-        denominator = known_series("exp", n) + TruncatedSeries.one(n)
-        series = -denominator.reciprocal()
-        fact = 1
-        for k in range(n + 1):
-            expected = F(2 ** (k + 1) - 1, k + 1) * bernoulli(k + 1)
-            assert series.coefficient(k) * fact == expected
-            fact *= k + 1
+        weighted = TruncatedSeries(
+            [F(2 ** (k + 1) - 1, k + 1) * bernoulli(k + 1) / factorial(k) for k in range(n + 1)])
+        one_plus_exp = TruncatedSeries([2] + [F(1, factorial(k)) for k in range(1, n + 1)])
+        assert one_plus_exp * weighted == -TruncatedSeries.monomial(n, 0)
 
 
 class TestVerifiers:
