@@ -9,7 +9,9 @@ Subcommands::
     verify <eq4|prop2|eq6|eq7|mixed> --k K [--a A] [--q Q]
 
 Every subcommand accepts ``--format plain|json|csv``; ``sigma`` and ``sum``
-also take ``--numeric`` and ``--grid-levels`` for the numeric cross-check.
+also take ``--numeric`` for the numeric cross-check at x = 1, and
+``--grid-levels`` for the grid it falls back to where that node does not
+settle.
 Output is bit-stable: JSON keys are sorted, CSV carries a header row, and
 rationals print as ``str(Fraction)`` does: ``p/q`` in lowest terms, or
 ``p`` alone when the denominator is 1.  Exit codes: 0 success, 1 identity
@@ -187,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     numeric = argparse.ArgumentParser(add_help=False)
     numeric.add_argument(
         "--grid-levels", type=int, default=_GRID_LEVELS, metavar="J",
-        help="number of grid points for the numeric limit",
+        help="number of grid points if the numeric value at x = 1 does not settle",
     )
     numeric.add_argument("--numeric", action="store_true",
                          help="also cross-check against the numeric limit")

@@ -34,7 +34,7 @@ class TestConfig:
     def test_defaults(self):
         series = alternating_power_series(1)
         assert abel_estimate(series).nodes_used == 10
-        assert compare_exact(series).nodes == 10
+        assert compare_exact(series).nodes == 1  # the node at x = 1
 
     def test_validation(self):
         message = "extrapolation needs at least 3 grid levels"
@@ -164,21 +164,37 @@ class TestAbelEstimate:
 
 
 class TestCompareExact:
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the pass bound scales with the Neville error estimate",
-    )
+    NEAR_ONE = [F(1024, 1023), F(255, 256), F(32767, 32768), 1 - F(1, 2 ** 25)]
+
     @pytest.mark.parametrize(
         "series",
-        [alternating_power_series(40), poly_exp_series([1], F(1024, 1023))],
-        ids=["sigma-40", "ratio-1024/1023"],
+        [alternating_power_series(k) for k in range(26, 61, 2)]
+        + [odd_alternating_series(61), odd_alternating_series(101)]
+        + [poly_exp_series([1], r) for r in NEAR_ONE],
+        ids=[f"sigma-{k}" for k in range(26, 61, 2)] + ["odd-61", "odd-101"]
+        + [f"ratio-{r}" for r in NEAR_ONE],
     )
     def test_passing_estimate_is_close(self, series):
-        # compare_exact passes both: 9.99e9 against an exact 0, and -1190.4
-        # against -1023, within max(1e-6, 10 x the error estimate)
+        # the grid's Neville extrapolation passed sigma 40 with 9.99e9 against
+        # an exact 0 and ratio 1024/1023 with -1190.4 against -1023, and
+        # raised DivergentGridError at 32767/32768; the node at x = 1 is exact
         report = compare_exact(series)
         assert report.passed
         assert report.abs_error <= 1e-6 * max(1.0, abs(report.exact))
+        assert report.nodes == 1
+
+    @pytest.mark.parametrize("series, exact", [
+        (alternating_power_series(1), F(1, 4)),
+        (poly_exp_series([1], F(1024, 1023)), F(-1023)),
+    ], ids=["exact-1/4", "exact--1023"])
+    @pytest.mark.parametrize("offset, passed", [(F(9, 10), True), (F(11, 10), False)])
+    def test_pass_bound_is_relative_to_the_exact_sum(self, monkeypatch, series, exact, offset,
+                                                     passed):
+        # a node value off by offset x 1e-6 max(1, |exact|)
+        miss = offset * F(1, 10 ** 6) * max(1, abs(exact))
+        monkeypatch.setattr(abel, "_node_value", lambda *args: abel._decimal(exact + miss))
+        report = compare_exact(series)
+        assert (report.exact, report.passed, report.nodes) == (exact, passed, 1)
 
     def test_alternating_unit(self):
         report = compare_exact(alternating_power_series(0))
@@ -256,7 +272,8 @@ class TestStatePerEstimate:
         ],
     )
     def test_zero_terms_settle(self, recurrence, initial, exact):
-        # zero terms repeat partial sums; the epsilon windows skip them
+        # zero terms repeat partial sums: the grid nodes skip them, the node
+        # at x = 1 keeps them and does not settle in column 0
         series = CFiniteSeries(recurrence, initial)
         report = compare_exact(series, grid_levels=5)
         assert report.passed
@@ -269,13 +286,48 @@ class TestStatePerEstimate:
         assert report.exact == 30
 
 
+class TestNodeAtOne:
+    """compare_exact reads the epsilon node at x = 1; the grid is its fallback."""
+
+    @pytest.mark.parametrize(
+        "recurrence, initial, exact",
+        [
+            # sums 1, 1, 0, 1, 1, 0, ...: without the zeros, 1, 0, 1, 0 settles on 1/2
+            ([-1, -1], [1, 0], F(2, 3)),
+            # no grid node settles here (the strict xfail above), but x = 1 does
+            ([0, 0, -1, 0, 0, F(-1, 3)], [0, -3, 3, 3, 2, 2], F(3)),
+        ],
+    )
+    def test_zero_terms_settle_at_one(self, recurrence, initial, exact):
+        report = compare_exact(CFiniteSeries(recurrence, initial))
+        assert (report.exact, report.passed, report.nodes) == (exact, True, 1)
+
+    @pytest.mark.parametrize(
+        "recurrence, initial, exact",
+        [
+            ([0, -1, 0, F(-1, 2)], [0, 3, -3, -3], 0),
+            ([0, 0, 0, 0, F(1, 2)], [1, 2, 3, 4, 5], 30),
+            # eleven zero terms in twelve: a column 0 that settled would stop
+            # on 11/16 at the first flat run of sums
+            ([0] * 11 + [F(-1, 2)], [1] + [0] * 11, F(2, 3)),
+        ],
+    )
+    def test_unsettled_node_falls_back_to_the_grid(self, recurrence, initial, exact):
+        # the node at x = 1 raises NonconvergenceError; the grid passes
+        report = compare_exact(CFiniteSeries(recurrence, initial))
+        assert report.passed
+        assert report.exact == exact
+        assert report.nodes == abel._GRID_LEVELS
+
+
 @pytest.mark.parametrize("ratio, exact", [(F(8, 7), -7), (F(16, 15), -15)])
 def test_ratio_with_a_pole_on_the_grid(ratio, exact):
     # r = 2^j/(2^j - 1) puts x_j = 1/r on a pole; that level is skipped
-    report = compare_exact(poly_exp_series([1], ratio))
+    series = poly_exp_series([1], ratio)
+    report = compare_exact(series)
     assert report.passed
     assert report.exact == exact
-    assert report.nodes == 10
+    assert abel_estimate(series).nodes_used == 10
 
 
 class TestPoleLevels:
@@ -337,7 +389,7 @@ def _assert_matches_oracle(series, oracle):
     assert abs(report.estimate - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
 
-@pytest.mark.parametrize("k", range(25))
+@pytest.mark.parametrize("k", range(61))
 def test_alternating_powers_match_mpmath(k):
     # sum (-1)^n (n+1)^k is eta(-k); the working precision grows with k
     mpmath = pytest.importorskip("mpmath")
@@ -345,7 +397,7 @@ def test_alternating_powers_match_mpmath(k):
     _assert_matches_oracle(alternating_power_series(k), oracle)
 
 
-@pytest.mark.parametrize("k", range(21))
+@pytest.mark.parametrize("k", range(61))
 def test_odd_alternating_match_sympy(k):
     # sum (-1)^n (2n+1)^k is E_k / 2 with sympy's signs (E_2 = -1)
     sympy = pytest.importorskip("sympy")
