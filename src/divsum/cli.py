@@ -2,8 +2,8 @@
 
 Subcommands::
 
-    bernoulli <n> [--method recurrence|series|garabedian] [--table]
-    euler <n> [--method recurrence|series] [--table]
+    bernoulli <n> [--method recurrence|series|garabedian|tangent] [--table]
+    euler <n> [--method recurrence|series|secant] [--table]
     sigma <k> [--numeric] [--grid-levels J]   exact sum of 1^k - 2^k + 3^k - ...
     sum "<series-expr>" [--numeric] [--grid-levels J]
     verify <eq4|prop2|eq6|eq7|mixed> --k K [--a A] [--q Q]

@@ -10,9 +10,11 @@ The checks read the weighted values T(k) = (2^(k+1) - 1)/(k+1) B_{k+1} from
 the integer tangent numbers of Brent & Harvey (2011, arXiv:1108.0286), never
 from a Bernoulli table, and sum each side in ints over one denominator.  eq4
 checks the weights' own binomial recursion and prop2 ties them to finite
-power sums; eq6, eq7 and mixed tie them to the Euler recurrence table.
-weighted_bernoulli reads T(k) from the Bernoulli table, an independent route
-to the same values.
+power sums; eq6, eq7 and mixed tie them to the Euler numbers of the
+secant table, which Brent & Harvey's integer secant numbers fill: tangent
+numbers against secant numbers, two independent sequences from one
+algorithm family.  weighted_bernoulli reads T(k) from the Bernoulli table,
+an independent route to the same values.
 """
 
 from __future__ import annotations
@@ -211,10 +213,48 @@ def _bernoulli_garabedian(n_max: int) -> list:
     return values
 
 
+def _tangent_numbers(n: int) -> list:
+    # Tan_1..Tan_n, where tan(z) = sum_m Tan_m z^(2m-1)/(2m-1)!, by Brent and
+    # Harvey's TangentNumbers (arXiv:1108.0286): in place on one int list,
+    # small-by-big multiply-adds only.
+    t = [1] * (n + 1)  # t[0] is unused
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+def _secant_numbers(n: int) -> list:
+    # E_0, E_2, ..., E_2n, where sec(z) = sum_m E_2m z^2m/(2m)!, by Brent and
+    # Harvey's SecantNumbers, as _tangent_numbers is: in place on one int
+    # list, small-by-big multiply-adds only.
+    s = [1] * (n + 1)
+    for k in range(1, n + 1):
+        s[k] = k * s[k - 1]
+    for k in range(1, n + 1):
+        for j in range(k + 1, n + 1):
+            s[j] = (j - k) * s[j - 1] + (j - k + 1) * s[j]
+    return s
+
+
+def _bernoulli_tangent(n_max: int) -> list:
+    # B_2k = (-1)^(k-1) 2k Tan_k / (4^k (4^k - 1)) for k >= 1, each reduced
+    # once; B_0 = 1 and B_1 = -1/2 start the table, and B_m = 0 at odd m >= 3
+    # is set directly.
+    values = [Fraction(1), Fraction(-1, 2), *repeat(_ZERO, n_max - 1)][: n_max + 1]
+    for k, t in enumerate(_tangent_numbers(n_max // 2), 1):
+        four = 1 << 2 * k
+        values[2 * k] = Fraction(2 * k * t if k & 1 else -2 * k * t, four * (four - 1))
+    return values
+
+
 _BERNOULLI_BUILDERS = {
     "recurrence": _bernoulli_recurrence,
     "series": _bernoulli_series,
     "garabedian": _bernoulli_garabedian,
+    "tangent": _bernoulli_tangent,
 }
 BERNOULLI_METHODS = tuple(_BERNOULLI_BUILDERS)
 
@@ -281,7 +321,18 @@ def _euler_series(n_max: int) -> list:
     return values
 
 
-_EULER_BUILDERS = {"recurrence": _euler_recurrence, "series": _euler_series}
+def _euler_secant(n_max: int) -> list:
+    # E_2k is secant number k; the odd E_n stay 0.
+    values = [0] * (n_max + 1)
+    values[::2] = _secant_numbers(n_max // 2)
+    return values
+
+
+_EULER_BUILDERS = {
+    "recurrence": _euler_recurrence,
+    "series": _euler_series,
+    "secant": _euler_secant,
+}
 EULER_METHODS = tuple(_EULER_BUILDERS)
 
 
@@ -299,19 +350,6 @@ def euler(n: int, method: str = "recurrence") -> int:
     distinct (n, method).
     """
     return euler_table(n, method).values[n]
-
-
-def _tangent_numbers(n: int) -> list:
-    # Tan_1..Tan_n, where tan(z) = sum_m Tan_m z^(2m-1)/(2m-1)!, by Brent and
-    # Harvey's TangentNumbers (arXiv:1108.0286): in place on one int list,
-    # small-by-big multiply-adds only.
-    t = [1] * (n + 1)  # t[0] is unused
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
 
 
 def _tangent_weights(k: int) -> tuple:
@@ -339,8 +377,8 @@ def _binomial_sum(w: list, x: int = 1, y: int = 1) -> int:
 
 
 def _signed_euler(k: int) -> list:
-    # (-1)^floor(j/2) E_j for j = 0..k, from the one table E_0..E_k.
-    return [-e if j & 2 else e for j, e in enumerate(euler_table(k, "recurrence").values)]
+    # (-1)^floor(j/2) E_j for j = 0..k, from the one secant table E_0..E_k.
+    return [-e if j & 2 else e for j, e in enumerate(euler_table(k, "secant").values)]
 
 
 def weighted_bernoulli(k: int) -> Fraction:
@@ -357,10 +395,13 @@ def weighted_bernoulli(k: int) -> Fraction:
 
 
 def odd_alternating_value(k: int) -> Fraction:
-    """Sum assigned to 1^k - 3^k + 5^k - ...: (-1)^floor(k/2) * E_k / 2."""
+    """Sum assigned to 1^k - 3^k + 5^k - ...: (-1)^floor(k/2) * E_k / 2.
+
+    E_k is read from the secant table ``euler_table(k, "secant")``.
+    """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    return Fraction((-1) ** (k // 2) * euler(k), 2)
+    return Fraction((-1) ** (k // 2) * euler_table(k, "secant").values[k], 2)
 
 
 def tan_coefficient(m: int) -> Fraction:

@@ -38,10 +38,15 @@ class TestBernoulliCommand:
         code, out, _ = run(capsys, "bernoulli", "4")
         assert (code, out) == (0, "-1/30")
 
-    @pytest.mark.parametrize("method", ["recurrence", "series", "garabedian"])
+    @pytest.mark.parametrize("method", ["recurrence", "series", "garabedian", "tangent"])
     def test_methods(self, capsys, method):
         code, out, _ = run(capsys, "bernoulli", "8", "--method", method)
         assert (code, out) == (0, "-1/30")
+
+    def test_secant_not_offered(self, capsys):
+        code, out, err = run(capsys, "bernoulli", "4", "--method", "secant")
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
 
     def test_csv_table(self, capsys):
         code, out, _ = run(capsys, "bernoulli", "2", "--table", "--format", "csv")
@@ -67,9 +72,18 @@ class TestEulerCommand:
         code, out, _ = run(capsys, "euler", "10", "--method", "series")
         assert (code, out) == (0, "50521")
 
+    def test_secant_method(self, capsys):
+        code, out, _ = run(capsys, "euler", "10", "--method", "secant")
+        assert (code, out) == (0, "50521")
+
     def test_garabedian_not_offered(self, capsys):
         code, out, err = run(capsys, "euler", "4", "--method", "garabedian")
         assert code == 2
+
+    def test_tangent_not_offered(self, capsys):
+        code, out, err = run(capsys, "euler", "4", "--method", "tangent")
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
 
 
 class TestSigmaCommand:

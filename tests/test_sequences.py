@@ -268,6 +268,18 @@ class TestEuler:
     def test_methods_agree_at_600(self):
         assert euler_table(600, "series").values == euler_table(600).values
 
+    @pytest.mark.parametrize("method", [m for m in EULER_METHODS if m != "recurrence"])
+    def test_methods_equal_the_recurrence(self, method):
+        # N = 401 ends on an odd index past the last secant number
+        reference = euler_table(401, "recurrence").values
+        for n_max in range(61):
+            assert euler_table(n_max, method).values == reference[: n_max + 1], n_max
+        assert euler_table(401, method).values == reference
+
+    def test_secant_numbers(self):
+        assert sequences._secant_numbers(6) == [1, 1, 5, 61, 1385, 50521, 2702765]
+        assert sequences._secant_numbers(0) == [1]
+
     @pytest.mark.parametrize("n", [300, 500])
     def test_matches_sympy_at_large_n(self, n):
         sympy = pytest.importorskip("sympy")
@@ -560,6 +572,38 @@ class TestTangentRoutes:
         assert len(w) == k + 1
         assert d == 2 * 4 ** ((k + 1) // 2)
         assert [F(x, d) for x in w] == reference_weights(k)
+
+
+class TestTangentAndSecantRoutes:
+    """The tangent and secant table methods, and the checks that read the
+    secant table, against the recurrences, which share no step with them."""
+
+    @pytest.mark.parametrize("table, method", [(bernoulli_table, "tangent"), (euler_table, "secant")])
+    def test_equal_the_recurrence_at_1000_and_1001(self, table, method):
+        # N = 1001 ends on an odd index that both builders set to zero
+        reference = table(1001, "recurrence").values
+        assert table(1000, method).values == reference[:1001]
+        assert table(1001, method).values == reference
+
+    @pytest.mark.parametrize("identity, args", [("eq6", ()), ("eq7", ()), ("mixed", (3, F(-1, 2)))])
+    def test_right_sides_equal_the_recurrence_ones(self, identity, args):
+        verifier, oracle = ORACLES[identity]
+        for k in range(1, 61):
+            _, rhs = oracle(reference_weights(k), euler_table(k, "recurrence").values, *args, k)
+            assert verifier(*args, k).rhs == rhs, k
+
+    @pytest.mark.parametrize("identity", ["eq6", "eq7", "mixed"])
+    def test_corrupted_secant_table_is_a_violation(self, identity, monkeypatch):
+        # two more than E_10 keeps the table's integer invariants; the table
+        # cache is cleared on both sides so no other test reads it
+        real = sequences._secant_numbers
+        monkeypatch.setattr(sequences, "_secant_numbers", lambda n: [*real(n)[:-1], real(n)[-1] + 2])
+        euler_table.cache_clear()
+        try:
+            with pytest.raises(IdentityViolation):
+                IDENTITY_CHECKS[identity](10)
+        finally:
+            euler_table.cache_clear()
 
 
 def _case_id(case):
