@@ -210,12 +210,12 @@ def partial_value(series: CFiniteSeries, x) -> float:
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError("evaluation point must satisfy 0 <= x < 1")
-    return _value_at(series, x, _node_inputs(series))
+    return _value_at(series, x)
 
 
-def _value_at(series: CFiniteSeries, x: Fraction, inputs: tuple) -> float:
-    """The node value at one 0 <= x <= 1 from ``_node_inputs(series)``."""
-    terms, digits = inputs
+def _value_at(series: CFiniteSeries, x: Fraction) -> float:
+    """The node value at one 0 <= x <= 1, at the digits _node_inputs sets."""
+    terms, digits = _node_inputs(series)
     with localcontext() as ctx:
         ctx.prec = digits
         return float(_node_value(terms, series.order, _decimal(x), digits))
@@ -260,16 +260,11 @@ def abel_estimate(series: CFiniteSeries, grid_levels: int = _GRID_LEVELS) -> Abe
     """
     if grid_levels < 3:
         raise ValueError("extrapolation needs at least 3 grid levels")
-    return _grid_estimate(series, grid_levels, _node_inputs(series))
-
-
-def _grid_estimate(series: CFiniteSeries, grid_levels: int, inputs: tuple) -> AbelNumericResult:
-    """abel_estimate from ``_node_inputs(series)``, built once by the caller."""
     (q, _), _ = _integer_generating_function(series)
     d = series.order
     off_pole = (j for j in count(_FIRST_LEVEL)
                 if sum(c * (2 ** j - 1) ** i << j * (d - i) for i, c in enumerate(q)))
-    terms, digits = inputs
+    terms, digits = _node_inputs(series)
     with localcontext() as ctx:
         ctx.prec = digits
         hs = [Decimal(1) / Decimal(2 ** j) for j in islice(off_pole, grid_levels)]
@@ -293,10 +288,9 @@ def compare_exact(series: CFiniteSeries, grid_levels: int = _GRID_LEVELS) -> Com
     The estimate is the epsilon node at x = 1 itself: the partial sums
     S_n - S of an order-d series obey an order-d recurrence, so Wynn's
     column 2d is S = P(1)/Q(1) exactly, with no grid.  Only where that node
-    does not settle does the grid of ``abel_estimate`` on ``grid_levels``
-    nodes supply the estimate, from the same terms.  Passes when the
-    absolute error is at most 1e-6 max(1, |exact|).  A non-summable series
-    is rejected up front.
+    does not settle does ``abel_estimate`` on ``grid_levels`` nodes supply
+    the estimate.  Passes when the absolute error is at most
+    1e-6 max(1, |exact|).  A non-summable series is rejected up front.
     """
     outcome = axiomatic_sum(series)
     if not outcome.is_summable:
@@ -305,11 +299,10 @@ def compare_exact(series: CFiniteSeries, grid_levels: int = _GRID_LEVELS) -> Com
         )
     if grid_levels < 3:
         raise ValueError("extrapolation needs at least 3 grid levels")
-    inputs = _node_inputs(series)
     try:
-        estimate, nodes = _value_at(series, Fraction(1), inputs), 1
+        estimate, nodes = _value_at(series, Fraction(1)), 1
     except NonconvergenceError:
-        result = _grid_estimate(series, grid_levels, inputs)
+        result = abel_estimate(series, grid_levels)
         estimate, nodes = result.estimate, result.nodes_used
     exact = float(outcome.value)
     abs_error = abs(estimate - exact)

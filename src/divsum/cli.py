@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    bernoulli <n> [--method recurrence|series|garabedian|tangent] [--table]
+    bernoulli <n> [--method recurrence|series|garabedian] [--table]
     euler <n> [--method recurrence|series|secant] [--table]
     sigma <k> [--numeric] [--grid-levels J]   exact sum of 1^k - 2^k + 3^k - ...
     sum "<series-expr>" [--numeric] [--grid-levels J]

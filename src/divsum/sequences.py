@@ -213,48 +213,10 @@ def _bernoulli_garabedian(n_max: int) -> list:
     return values
 
 
-def _tangent_numbers(n: int) -> list:
-    # Tan_1..Tan_n, where tan(z) = sum_m Tan_m z^(2m-1)/(2m-1)!, by Brent and
-    # Harvey's TangentNumbers (arXiv:1108.0286): in place on one int list,
-    # small-by-big multiply-adds only.
-    t = [1] * (n + 1)  # t[0] is unused
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
-
-
-def _secant_numbers(n: int) -> list:
-    # E_0, E_2, ..., E_2n, where sec(z) = sum_m E_2m z^2m/(2m)!, by Brent and
-    # Harvey's SecantNumbers, as _tangent_numbers is: in place on one int
-    # list, small-by-big multiply-adds only.
-    s = [1] * (n + 1)
-    for k in range(1, n + 1):
-        s[k] = k * s[k - 1]
-    for k in range(1, n + 1):
-        for j in range(k + 1, n + 1):
-            s[j] = (j - k) * s[j - 1] + (j - k + 1) * s[j]
-    return s
-
-
-def _bernoulli_tangent(n_max: int) -> list:
-    # B_2k = (-1)^(k-1) 2k Tan_k / (4^k (4^k - 1)) for k >= 1, each reduced
-    # once; B_0 = 1 and B_1 = -1/2 start the table, and B_m = 0 at odd m >= 3
-    # is set directly.
-    values = [Fraction(1), Fraction(-1, 2), *repeat(_ZERO, n_max - 1)][: n_max + 1]
-    for k, t in enumerate(_tangent_numbers(n_max // 2), 1):
-        four = 1 << 2 * k
-        values[2 * k] = Fraction(2 * k * t if k & 1 else -2 * k * t, four * (four - 1))
-    return values
-
-
 _BERNOULLI_BUILDERS = {
     "recurrence": _bernoulli_recurrence,
     "series": _bernoulli_series,
     "garabedian": _bernoulli_garabedian,
-    "tangent": _bernoulli_tangent,
 }
 BERNOULLI_METHODS = tuple(_BERNOULLI_BUILDERS)
 
@@ -352,6 +314,32 @@ def euler(n: int, method: str = "recurrence") -> int:
     return euler_table(n, method).values[n]
 
 
+def _tangent_numbers(n: int) -> list:
+    # Tan_1..Tan_n, where tan(z) = sum_m Tan_m z^(2m-1)/(2m-1)!, by Brent and
+    # Harvey's TangentNumbers (arXiv:1108.0286): in place on one int list,
+    # small-by-big multiply-adds only.
+    t = [1] * (n + 1)  # t[0] is unused
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+def _secant_numbers(n: int) -> list:
+    # E_0, E_2, ..., E_2n, where sec(z) = sum_m E_2m z^2m/(2m)!, by Brent and
+    # Harvey's SecantNumbers, as _tangent_numbers is: in place on one int
+    # list, small-by-big multiply-adds only.
+    s = [1] * (n + 1)
+    for k in range(1, n + 1):
+        s[k] = k * s[k - 1]
+    for k in range(1, n + 1):
+        for j in range(k + 1, n + 1):
+            s[j] = (j - k) * s[j - 1] + (j - k + 1) * s[j]
+    return s
+
+
 def _tangent_weights(k: int) -> tuple:
     # (W, D) with W_j = D T(j) for j = 0..k over D = 2 * 4^M, M = ceil(k/2):
     # T(0) = 1/2, T(2m-1) = (-1)^(m-1) Tan_m / 4^m and T(2m) = 0 for m >= 1.
@@ -401,7 +389,7 @@ def odd_alternating_value(k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    return Fraction((-1) ** (k // 2) * euler_table(k, "secant").values[k], 2)
+    return Fraction((-1) ** (k // 2) * euler(k, "secant"), 2)
 
 
 def tan_coefficient(m: int) -> Fraction:

@@ -250,27 +250,6 @@ class TestStatePerEstimate:
 
     @pytest.mark.parametrize(
         "recurrence, initial, exact",
-        [([0, -1, 0, F(-1, 2)], [0, 3, -3, -3], F(0)), ([0, 0, 0, 0, F(1, 2)], [1, 2, 3, 4, 5], F(30))],
-    )
-    def test_grid_fallback_builds_the_inputs_once(self, monkeypatch, recurrence, initial, exact):
-        # the node at x = 1 does not settle on these, so the grid supplies
-        # the estimate from the terms and digits that node already read
-        series = CFiniteSeries(recurrence, initial)
-        builds = []
-        node_inputs = abel._node_inputs
-
-        def counting_node_inputs(s):
-            builds.append(s)
-            return node_inputs(s)
-
-        monkeypatch.setattr(abel, "_node_inputs", counting_node_inputs)
-        report = compare_exact(series)
-        assert report.nodes == abel._GRID_LEVELS
-        assert report.passed and report.exact == exact
-        assert builds == [series]
-
-    @pytest.mark.parametrize(
-        "recurrence, initial, exact",
         [
             ([0, -1], [1, 0], F(1, 2)),
             ([-1, -1], [1, 0], F(2, 3)),

@@ -38,7 +38,7 @@ class TestBernoulliCommand:
         code, out, _ = run(capsys, "bernoulli", "4")
         assert (code, out) == (0, "-1/30")
 
-    @pytest.mark.parametrize("method", ["recurrence", "series", "garabedian", "tangent"])
+    @pytest.mark.parametrize("method", ["recurrence", "series", "garabedian"])
     def test_methods(self, capsys, method):
         code, out, _ = run(capsys, "bernoulli", "8", "--method", method)
         assert (code, out) == (0, "-1/30")
@@ -79,11 +79,6 @@ class TestEulerCommand:
     def test_garabedian_not_offered(self, capsys):
         code, out, err = run(capsys, "euler", "4", "--method", "garabedian")
         assert code == 2
-
-    def test_tangent_not_offered(self, capsys):
-        code, out, err = run(capsys, "euler", "4", "--method", "tangent")
-        assert (code, out) == (2, "")
-        assert "invalid choice" in err
 
 
 class TestSigmaCommand:

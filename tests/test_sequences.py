@@ -574,16 +574,15 @@ class TestTangentRoutes:
         assert [F(x, d) for x in w] == reference_weights(k)
 
 
-class TestTangentAndSecantRoutes:
-    """The tangent and secant table methods, and the checks that read the
-    secant table, against the recurrences, which share no step with them."""
+class TestSecantRoute:
+    """The secant table method, and the checks that read the secant table,
+    against the Euler recurrence, which shares no step with them."""
 
-    @pytest.mark.parametrize("table, method", [(bernoulli_table, "tangent"), (euler_table, "secant")])
-    def test_equal_the_recurrence_at_1000_and_1001(self, table, method):
-        # N = 1001 ends on an odd index that both builders set to zero
-        reference = table(1001, "recurrence").values
-        assert table(1000, method).values == reference[:1001]
-        assert table(1001, method).values == reference
+    def test_equals_the_recurrence_at_1000_and_1001(self):
+        # N = 1001 ends on an odd index that the secant builder sets to zero
+        reference = euler_table(1001, "recurrence").values
+        assert euler_table(1000, "secant").values == reference[:1001]
+        assert euler_table(1001, "secant").values == reference
 
     @pytest.mark.parametrize("identity, args", [("eq6", ()), ("eq7", ()), ("mixed", (3, F(-1, 2)))])
     def test_right_sides_equal_the_recurrence_ones(self, identity, args):
