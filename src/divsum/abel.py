@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, count, islice
 
 from .cfinite import CFiniteSeries, _integer_generating_function, axiomatic_sum
 
@@ -57,6 +57,7 @@ class NotSummableInputError(ValueError):
 _FIRST_LEVEL = 3  # the grid starts at x = 1 - 2^-3
 _GRID_LEVELS = 10  # the default number of grid nodes per estimate
 _PRECISION = 50  # the floor of the working precision, in decimal digits
+_ONE = Decimal(1)
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,16 @@ def _partial_sums(terms: list[Decimal], x_dec: Decimal) -> list[Decimal]:
     """Partial sums S_n of sum a_n x^n.
 
     Below x = 1 they are kept at the n with a_n != 0 (no repeats); at x = 1
-    no power of x marks a position, so every S_n is kept.
+    no power of x marks a position, so every S_n is kept, and no term is
+    multiplied by a power of x.
     """
+    if x_dec == 1:
+        return list(accumulate(terms))
     out = []
     s = Decimal(0)
     xpow = Decimal(1)
     for a in terms:
-        if a or x_dec == 1:
+        if a:
             s += a * xpow
             out.append(s)
         xpow *= x_dec
@@ -123,7 +127,7 @@ def _wynn_even(sums: list[Decimal], digits: int, every_n: bool = False) -> tuple
     settles: a flat run there is a run of zero terms, not convergence.
     """
     # both flat thresholds as decimal exponents
-    low = (max(abs(s) for s in sums) + 1).adjusted() + 8 - digits
+    low = (max(map(abs, sums)) + 1).adjusted() + 8 - digits
     half = digits // 2
     settle = Decimal("1e-12")
     # the last four columns, from epsilon_(-1) = 0 and epsilon_0 = sums
@@ -144,7 +148,7 @@ def _wynn_even(sums: list[Decimal], digits: int, every_n: bool = False) -> tuple
                     return (even_tails or sums)[-1], False
                 new.append(c)
             elif (delta := b - a) and (e := delta.adjusted()) >= low and e + half >= b.adjusted():
-                new.append(c + 1 / delta)
+                new.append(c + _ONE / delta)
             elif (col % 2 == 1 or (every_n and col == 0)
                   or len(tail := cur[i:]) < min(3, len(cur)) or None in tail
                   or max(tail) - min(tail) > settle * (1 + abs(tail[-1]))):
@@ -181,17 +185,18 @@ def _node_value(terms: list[Decimal], order: int, x_dec: Decimal, digits: int) -
 def _node_inputs(series: CFiniteSeries) -> tuple[list[Decimal], int]:
     """The terms the epsilon windows read, as decimals, and the digits to use.
 
-    digits = max(50, floor(2 log10 max|a_n|) + 16), with log2|p/q| read from
-    bit lengths; the terms are rounded to that precision.
+    The terms come from the series' reduced integer pairs (p, q), with no
+    Fraction built: digits = max(50, floor(2 log10 max|a_n|) + 16), with
+    log2|p/q| read from bit lengths, and each term is p / q rounded to that
+    precision.
     """
     # the last epsilon window of _node_value ends at term 5d + 34
-    exact_terms = series.terms(5 * series.order + 35)
-    bits = max((abs(a.numerator).bit_length() - a.denominator.bit_length()
-                for a in exact_terms if a), default=0)
+    pairs = list(islice(series._term_pairs(), 5 * series.order + 35))
+    bits = max((abs(p).bit_length() - q.bit_length() for p, q in pairs if p), default=0)
     digits = max(_PRECISION, math.floor(2 * bits * math.log10(2)) + 16)
     with localcontext() as ctx:
         ctx.prec = digits
-        return [_decimal(a) for a in exact_terms], digits
+        return [Decimal(p) / Decimal(q) for p, q in pairs], digits
 
 
 def partial_value(series: CFiniteSeries, x) -> float:

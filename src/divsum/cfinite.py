@@ -15,7 +15,8 @@ reported as data, not an error.
 The exact kernels, the term generator among them, run in integers: a list
 of rationals is held as integer numerators over one common denominator, the
 lcm of theirs, every loop or recurrence step adds and multiplies ints, and
-each value or term that leaves a kernel is reduced to a Fraction once.  Each
+each value or term that leaves a kernel is reduced once: to a Fraction, or
+for the terms the numeric check reads, to a numerator-denominator pair.  Each
 step is one dot product, ``sum(map(mul, ...))``: a recurrence step takes the
 coefficients against the window of terms, newest first, and a binomial sum
 takes a row of Pascal's triangle, stepped from the one before by additions
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, repeat, starmap
+from math import gcd
 from operator import mul
 from typing import Iterator, Optional
 
@@ -85,16 +87,26 @@ class CFiniteSeries:
         return len(self.recurrence)
 
     def iter_terms(self) -> Iterator[Fraction]:
-        """Yield a_0, a_1, a_2, ... without end.  Terms are stepped in ints,
-        over running lcm denominators, and each one is reduced once."""
-        yield from self.initial
+        """Yield a_0, a_1, a_2, ... without end: one Fraction per pair of
+        ``_term_pairs``, the one term generator."""
+        return starmap(Fraction, self._term_pairs())
+
+    def _term_pairs(self) -> Iterator[tuple[int, int]]:
+        """Yield a_0, a_1, a_2, ... without end, each as its numerator and
+        positive denominator in lowest terms.  Terms are stepped in ints,
+        over running lcm denominators, and each one is reduced once, by one
+        gcd; no Fraction is built."""
+        for a in self.initial:
+            yield a.numerator, a.denominator
         rec, q_den = _over_lcm(self.recurrence)
         window, den = _over_lcm(self.initial)
         while True:
-            value = Fraction(sum(map(mul, rec, reversed(window))), q_den * den)
-            yield value
+            num, num_den = sum(map(mul, rec, reversed(window))), q_den * den
+            g = gcd(num, num_den)
+            num, num_den = num // g, num_den // g
+            yield num, num_den
             del window[0]
-            den = _append_over_lcm(window, den, value)
+            den = _append_over_lcm(window, den, num, num_den)
 
     def term(self, n: int) -> Fraction:
         if n < 0:
@@ -349,5 +361,5 @@ def recursive_alternating_sum(k: int) -> Fraction:
     for _ in range(k):
         row = _next_row(row)
         value = Fraction(den - sum(map(mul, row, nums)), 2 * den)  # (1 - sum/den) / 2
-        den = _append_over_lcm(nums, den, value)
+        den = _append_over_lcm(nums, den, value.numerator, value.denominator)
     return value

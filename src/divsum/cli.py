@@ -12,6 +12,9 @@ Every subcommand accepts ``--format plain|json|csv``; ``sigma`` and ``sum``
 also take ``--numeric`` for the numeric cross-check at x = 1, and
 ``--grid-levels`` for the grid it falls back to where that node does not
 settle.
+Each call is parsed once, by its subcommand's parser; calls it cannot
+parse alone (no subcommand first, or arguments it does not know) go
+through the top-level parser for its usage error.
 Output is bit-stable: JSON keys are sorted, CSV carries a header row, and
 rationals print as ``str(Fraction)`` does: ``p/q`` in lowest terms, or
 ``p`` alone when the denominator is 1.  Exit codes: 0 success, 1 identity
@@ -181,6 +184,12 @@ _HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and its subcommand parsers by name: the
+    ``choices`` of its ``add_subparsers`` action."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("plain", "json", "csv"), default="plain",
@@ -224,19 +233,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", default="1", help="rational parameter (default 1)")
     p.add_argument("--q", default="1", help="rational parameter (default 1)")
 
-    return parser
+    return parser, sub.choices
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     # parse_args keeps no state between calls, so one parser serves them all
-    return build_parser()
+    return _build_parsers()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse one call, once: its subcommand's parser reads argv[1:].
+
+    The top-level parser would sort every argument and hand them all to
+    that parser, which sorts them again.  An empty argv, a first word that
+    is no subcommand, and arguments the subcommand leaves unknown go through
+    the top-level parser, so its usage errors, help and exit codes stay.
+    """
+    parser, commands = _parsers()
+    if argv and (command := commands.get(argv[0])):
+        args, unknown = command.parse_known_args(argv[1:])
+        if not unknown:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def run_command(argv) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -61,15 +61,15 @@ def _over_lcm(values) -> tuple[list, int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _append_over_lcm(nums: list, den: int, value: Fraction) -> int:
-    """Append value to the integer numerators nums over the common
-    denominator den, first scaling den and nums by the factor of value's
-    denominator that den lacks; return the new den."""
-    missing = value.denominator // gcd(den, value.denominator)
+def _append_over_lcm(nums: list, den: int, num: int, num_den: int) -> int:
+    """Append the rational num / num_den, with num_den > 0, to the integer
+    numerators nums over the common denominator den, first scaling den and
+    nums by the factor of num_den that den lacks; return the new den."""
+    missing = num_den // gcd(den, num_den)
     if missing != 1:
         nums[:] = [x * missing for x in nums]
         den *= missing
-    nums.append(value.numerator * (den // value.denominator))
+    nums.append(num * (den // num_den))
     return den
 
 

@@ -146,7 +146,7 @@ def _bernoulli_recurrence(n_max: int) -> list:
             continue
         total = sum(map(mul, row[::2], nums))
         values.append(Fraction((m + 1) * den - 2 * total, 2 * (m + 1) * den))
-        den = _append_over_lcm(nums, den, values[m])
+        den = _append_over_lcm(nums, den, values[m].numerator, values[m].denominator)
     return values
 
 

@@ -1,4 +1,6 @@
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, islice
 
@@ -235,15 +237,16 @@ class TestStatePerEstimate:
     """Terms are read once per estimate, and singular epsilon tables still settle."""
 
     def test_epsilon_path_reads_terms_once(self, monkeypatch):
+        # the nodes read the integer term stream, one stream per estimate
         series = alternating_power_series(8)
         streams = []
-        iter_terms = CFiniteSeries.iter_terms
+        term_pairs = CFiniteSeries._term_pairs
 
-        def counting_iter_terms(s):
+        def counting_term_pairs(s):
             streams.append(s)
-            return iter_terms(s)
+            return term_pairs(s)
 
-        monkeypatch.setattr(CFiniteSeries, "iter_terms", counting_iter_terms)
+        monkeypatch.setattr(CFiniteSeries, "_term_pairs", counting_term_pairs)
         result = abel_estimate(series)
         assert abs(result.estimate) < 1e-6  # eta(-8) = 0
         assert streams == [series]
@@ -318,6 +321,65 @@ class TestNodeAtOne:
         assert report.passed
         assert report.exact == exact
         assert report.nodes == abel._GRID_LEVELS
+
+
+def node_corpus(rng):
+    """Sigma and odd k = 0..30 (terms past the 50-digit floor), ratios with
+    denominators up to 17, and recurrences with zero coefficients and zero
+    initial terms, some of them eventually zero."""
+    corpus = [build(k) for build in (alternating_power_series, odd_alternating_series)
+              for k in range(31)]
+    corpus += [geometric_series(F(rng.randint(-60, 60) or 1, q)) for q in range(1, 18)]
+
+    def rational():
+        return F(0) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 17))
+
+    for _ in range(80):
+        d = rng.randint(1, 6)
+        corpus.append(CFiniteSeries([rational() for _ in range(d)], [rational() for _ in range(d)]))
+    return corpus + [CFiniteSeries([0, 0, 0], [2, -1, 5]), CFiniteSeries([F(1, 2), 0], [7, 0])]
+
+
+def fraction_node_inputs(series):
+    """The node inputs through Fractions: terms(5d + 35), each divided as
+    Decimal(numerator) / Decimal(denominator), and the digits from the
+    same bit lengths."""
+    exact_terms = series.terms(5 * series.order + 35)
+    bits = max((abs(a.numerator).bit_length() - a.denominator.bit_length()
+                for a in exact_terms if a), default=0)
+    digits = max(50, math.floor(2 * bits * math.log10(2)) + 16)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return [Decimal(a.numerator) / Decimal(a.denominator) for a in exact_terms], digits
+
+
+class TestIntegerNodeInputs:
+    """The node reads the integer term stream: the same decimals, digits
+    and sums as the route through Fractions."""
+
+    def test_inputs_match_the_fraction_route(self):
+        widened = 0
+        for series in node_corpus(random.Random(29)):
+            terms, digits = abel._node_inputs(series)
+            expected, expected_digits = fraction_node_inputs(series)
+            assert digits == expected_digits
+            # the same values with the same coefficients and exponents
+            assert [a.as_tuple() for a in terms] == [a.as_tuple() for a in expected]
+            widened += digits > 50
+        assert widened > 0
+
+    def test_sums_at_one_are_the_running_sum(self):
+        for series in node_corpus(random.Random(29)):
+            terms, digits = abel._node_inputs(series)
+            with localcontext() as ctx:
+                ctx.prec = digits
+                sums = abel._partial_sums(terms, Decimal(1))
+                running, total = [], Decimal(0)
+                for a in terms:
+                    total += a
+                    running.append(total)
+            assert len(sums) == len(terms)
+            assert [a.as_tuple() for a in sums] == [a.as_tuple() for a in running]
 
 
 @pytest.mark.parametrize("ratio, exact", [(F(8, 7), -7), (F(16, 15), -15)])

@@ -1,8 +1,8 @@
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import chain
-from math import comb
+from itertools import chain, islice
+from math import comb, gcd
 
 import pytest
 
@@ -414,7 +414,50 @@ def reference_terms(series, count):
     return out
 
 
+def pair_corpus(rng):
+    """Series for the integer term stream: sigma and odd k = 0..30, ratio
+    denominators 1..17, random recurrences with zero coefficients and zero
+    initial terms, and recurrences whose terms are eventually zero."""
+    corpus = [build(k) for build in (alternating_power_series, odd_alternating_series)
+              for k in range(31)]
+    for q in range(1, 18):
+        corpus.append(geometric_series(F(rng.choice((-1, 1)) * (rng.randint(0, 3) * q + 1), q)))
+        corpus.append(poly_exp_series([rng.randint(-5, 5), 1, F(1, q)], F(rng.choice((-1, 1)) * (q + 1), q)))
+
+    def rational():
+        return F(0) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 17))
+
+    for _ in range(80):
+        d = rng.randint(1, 6)
+        corpus.append(CFiniteSeries([rational() for _ in range(d)], [rational() for _ in range(d)]))
+    corpus += [
+        CFiniteSeries([0, 0, 0], [2, -1, 5]),
+        CFiniteSeries([F(1, 2), 0], [7, 0]),
+        CFiniteSeries([3, 0, 0], [F(1, 3), F(2, 5), 0]),
+        CFiniteSeries([F(-4, 17), 0, 0, 0], [0, 0, 0, 0]),
+    ]
+    return corpus
+
+
 class TestTermGenerator:
+    def test_pairs_are_the_terms_in_lowest_terms(self):
+        zero_terms = eventually_zero = 0
+        ratio_dens = set()
+        for s in pair_corpus(random.Random(29)):
+            count = 5 * s.order + 35
+            pairs = list(islice(s._term_pairs(), count))
+            terms = s.terms(count)
+            assert pairs == [(a.numerator, a.denominator) for a in terms]
+            assert terms == reference_terms(s, count)
+            assert all(type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1
+                       for p, q in pairs)
+            zero_terms += 0 in terms[:-s.order] and any(terms[-s.order:])
+            eventually_zero += not any(terms[-s.order:])
+            if s.order == 1:
+                ratio_dens.add(s.recurrence[0].denominator)
+        assert min(zero_terms, eventually_zero) > 0
+        assert ratio_dens >= set(range(1, 18))
+
     def test_matches_the_fraction_loop_on_the_kernel_corpus(self):
         for s in kernel_corpus(random.Random(9), 150):
             count = 5 * s.order + 35

@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -323,8 +324,54 @@ class TestUsage:
             assert code == 0
 
 
+GOLDEN_ARGVS = [r["argv"] for r in json.loads(
+    (Path(__file__).parent / "golden" / "cli.json").read_text())]
+
+# calls that end in the top-level parser: no argv, no subcommand first, help,
+# unknown arguments, and the subcommands' own usage errors and abbreviations
+USAGE_ARGVS = [
+    [], ["frobnicate", "1"], ["-h"], ["--format", "json", "sigma", "2"], ["sigma"],
+    ["verify", "eq4", "--k", "x"], ["verify", "eq9", "--k", "1"],
+    ["bernoulli", "4", "--grid-levels", "6"],
+    ["verify", "mixed", "--k", "2", "--q=-3/4", "--a=3/2", "extra"],
+    ["euler", "4", "--meth", "series"], ["verify", "eq4", "--k", "3", "--form", "json"],
+    ["sum", "--", "poly 1 ratio 1/2"], ["sigma", "-1"],
+]
+
+
+def top_level_parse(argv):
+    """Every argument through the top-level parser, which hands the
+    subcommand's to that subcommand's parser."""
+    return cli.build_parser().parse_args(argv)
+
+
 class TestParserReuse:
-    """run_command parses every call with one cached parser."""
+    """run_command parses every call with one cached set of parsers: the
+    subcommand's parser reads the arguments after the subcommand, once.
+    Calls it cannot parse alone go through the top-level parser."""
+
+    @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
+    def test_namespace_is_the_top_level_one(self, argv):
+        assert vars(cli._parse_args(argv)) == vars(top_level_parse(argv))
+
+    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+    def test_usage_is_the_top_level_one(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        one_pass = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse_args", top_level_parse)
+        assert one_pass == run(capsys, *argv)
+
+    def test_a_valid_call_is_parsed_once(self, capsys, monkeypatch):
+        parses = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            parses.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert run(capsys, "sigma", "3", "--numeric", "--format", "json")[0] == 0
+        assert parses == ["divsum sigma"]
 
     def test_usage_error_then_valid_call(self, capsys):
         golden = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())

@@ -88,7 +88,7 @@ def full_bernoulli_recurrence(n_max):
     for m in range(1, n_max + 1):
         row = [1, *map(add, row, row[1:]), 1]
         values.append(F(-sum(map(mul, row, nums)), (m + 1) * den))
-        den = _append_over_lcm(nums, den, values[m])
+        den = _append_over_lcm(nums, den, values[m].numerator, values[m].denominator)
     return tuple(values)
 
 
