@@ -10,10 +10,10 @@ takes that value at x = 1 itself, which is the Abel limit with no limit
 left to take.  ``partial_value`` returns it at one x < 1;
 ``abel_estimate`` takes it on the geometric grid x_j = 1 - 2^-j, ten
 levels unless the caller asks for another number of at least 3, and
-extrapolates to h = 1 - x = 0 with Neville's scheme.  The grid is also
-``compare_exact``'s fallback where the node at x = 1 does not settle.  A
-genuine pole at x = 1 shows up as node values growing without bound across
-the grid and is reported as DivergentGridError.  Every node reads the same
+extrapolates to h = 1 - x = 0 with Neville's scheme.  The ten-level grid
+is also ``compare_exact``'s fallback where the node at x = 1 does not
+settle.  A genuine pole at x = 1 shows up as node values growing without
+bound across the grid and is reported as DivergentGridError.  Every node reads the same
 first 5d + 35 terms of an order-d series.
 
 All summation runs in ``decimal`` arithmetic at a precision derived from
@@ -287,13 +287,13 @@ def abel_estimate(series: CFiniteSeries, grid_levels: int = _GRID_LEVELS) -> Abe
         )
 
 
-def compare_exact(series: CFiniteSeries, grid_levels: int = _GRID_LEVELS) -> ComparisonReport:
+def compare_exact(series: CFiniteSeries) -> ComparisonReport:
     """Compare the exact engine sum with the numeric Abel limit.
 
     The estimate is the epsilon node at x = 1 itself: the partial sums
     S_n - S of an order-d series obey an order-d recurrence, so Wynn's
     column 2d is S = P(1)/Q(1) exactly, with no grid.  Only where that node
-    does not settle does ``abel_estimate`` on ``grid_levels`` nodes supply
+    does not settle does ``abel_estimate`` on its ten-level grid supply
     the estimate.  Passes when the absolute error is at most
     1e-6 max(1, |exact|).  A non-summable series is rejected up front.
     """
@@ -302,12 +302,10 @@ def compare_exact(series: CFiniteSeries, grid_levels: int = _GRID_LEVELS) -> Com
         raise NotSummableInputError(
             f"series has a pole of order {outcome.pole_order} at x = 1"
         )
-    if grid_levels < 3:
-        raise ValueError("extrapolation needs at least 3 grid levels")
     try:
         estimate, nodes = _value_at(series, Fraction(1)), 1
     except NonconvergenceError:
-        result = abel_estimate(series, grid_levels)
+        result = abel_estimate(series)
         estimate, nodes = result.estimate, result.nodes_used
     exact = float(outcome.value)
     abs_error = abs(estimate - exact)

@@ -4,14 +4,13 @@ Subcommands::
 
     bernoulli <n> [--method recurrence|series|garabedian] [--table]
     euler <n> [--method recurrence|series|secant] [--table]
-    sigma <k> [--numeric] [--grid-levels J]   exact sum of 1^k - 2^k + 3^k - ...
-    sum "<series-expr>" [--numeric] [--grid-levels J]
+    sigma <k> [--numeric]   exact sum of 1^k - 2^k + 3^k - ...
+    sum "<series-expr>" [--numeric]
     verify <eq4|prop2|eq6|eq7|mixed> --k K [--a A] [--q Q]
 
 Every subcommand accepts ``--format plain|json|csv``; ``sigma`` and ``sum``
-also take ``--numeric`` for the numeric cross-check at x = 1, and
-``--grid-levels`` for the grid it falls back to where that node does not
-settle.
+also take ``--numeric`` for the numeric cross-check at x = 1, which falls
+back to a ten-level Abel grid where that node does not settle.
 Each call is parsed once, by its subcommand's parser; calls it cannot
 parse alone (no subcommand first, or arguments it does not know) go
 through the top-level parser for its usage error.
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .abel import _GRID_LEVELS, DivergentGridError, NonconvergenceError, compare_exact
+from .abel import DivergentGridError, NonconvergenceError, compare_exact
 from .cfinite import alternating_power_series, axiomatic_sum
 from .parsing import parse_series
 from .sequences import (
@@ -126,7 +125,7 @@ def _summation_payload(series, args):
     plain = fields["sum"]
     code = 0
     if args.numeric:
-        report = compare_exact(series, args.grid_levels)
+        report = compare_exact(series)
         fields["numeric"] = report.to_json()
         verdict = "pass" if report.passed else "FAIL"
         plain += (
@@ -196,10 +195,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
         help="output format (default plain)",
     )
     numeric = argparse.ArgumentParser(add_help=False)
-    numeric.add_argument(
-        "--grid-levels", type=int, default=_GRID_LEVELS, metavar="J",
-        help="number of grid points if the numeric value at x = 1 does not settle",
-    )
     numeric.add_argument("--numeric", action="store_true",
                          help="also cross-check against the numeric limit")
 

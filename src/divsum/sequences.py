@@ -427,15 +427,13 @@ def bernoulli_generating_series(order: int) -> TruncatedSeries:
 def secant_series(order: int) -> TruncatedSeries:
     """The series sec(z) = 1/cos(z), whose coefficient n is E_n/n!.
 
-    Read off the chain of cosh z that the Euler series table inverts: with
-    sech(z) = sum G_j / L_j z^2j, coefficient 2j of sec(z) is
-    (-1)^j G_j / L_j, reduced once, and the odd coefficients are 0.
+    Read off the secant numbers E_0, E_2, ..., E_2K, K = order // 2, as
+    :func:`tangent_series` reads the tangent numbers: each reduced once
+    over its factorial; the odd coefficients are 0.
     """
-    pairs = _reciprocal_numerators(_even_factorial_chain(order // 2, 0))
-    out = []
-    for m in range(order + 1):
-        g, den = pairs[m >> 1]
-        out.append(_ZERO if m & 1 else Fraction(-g if m & 2 else g, den))
+    out = [_ZERO] * (order + 1)
+    out[::2] = map(Fraction, _secant_numbers(order // 2),
+                   islice(_factorials(order), 0, None, 2))
     return TruncatedSeries(out)
 
 

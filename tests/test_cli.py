@@ -103,14 +103,14 @@ class TestSigmaCommand:
         assert payload["numeric"]["pass"] is True
         assert payload["numeric"]["nodes"] == 1
 
-    def test_grid_levels_flag(self, capsys):
-        # the node at x = 1 does not settle on this series, so the grid runs
+    def test_grid_fallback_nodes(self, capsys):
+        # the node at x = 1 does not settle on this series, so the ten-level grid runs
         code, out, _ = run(
             capsys, "sum", "rec a(n)=-a(n-2)-1/2a(n-4); init 0,3,-3,-3", "--numeric",
-            "--grid-levels", "6", "--format", "json",
+            "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["numeric"]["nodes"] == 6
+        assert json.loads(out)["numeric"]["nodes"] == 10
 
 
 class TestSumCommand:
@@ -174,14 +174,14 @@ class TestExitOne:
                  '"nodes": 10, "pass": false}, "sum": "1/4"}\n'),
     ])
     def test_failed_comparison(self, capsys, monkeypatch, fmt, stdout):
-        monkeypatch.setattr(cli, "compare_exact", lambda series, levels: self.FAILED)
+        monkeypatch.setattr(cli, "compare_exact", lambda series: self.FAILED)
         code = run_command(["sigma", "1", "--numeric", "--format", fmt])
         assert (code, *capsys.readouterr()) == (1, stdout, "")
 
     @pytest.mark.parametrize("error", [NonconvergenceError, DivergentGridError])
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_numeric_evaluation_failed(self, capsys, monkeypatch, error, fmt):
-        def compare_exact(series, levels):
+        def compare_exact(series):
             raise error("no limit here")
 
         monkeypatch.setattr(cli, "compare_exact", compare_exact)
@@ -253,7 +253,6 @@ class TestUsage:
         (["bernoulli", "-1"], "table size must be nonnegative"),
         (["euler", "-2", "--method", "series"], "table size must be nonnegative"),
         (["verify", "eq4", "--k", "0"], "index must be positive"),
-        (["sigma", "2", "--numeric", "--grid-levels", "2"], "extrapolation needs at least 3 grid levels"),
     ])
     def test_error_message(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -261,9 +260,7 @@ class TestUsage:
 
     # argparse wraps its usage text to COLUMNS, so the width is pinned.
     SIGMA_USAGE = (
-        "usage: divsum sigma [-h] [--format {plain,json,csv}] [--grid-levels J]\n"
-        "                    [--numeric]\n"
-        "                    k\n"
+        "usage: divsum sigma [-h] [--format {plain,json,csv}] [--numeric] k\n"
     )
     VERIFY_USAGE = (
         "usage: divsum verify [-h] [--format {plain,json,csv}] --k K [--a A] [--q Q]\n"
@@ -298,12 +295,17 @@ class TestUsage:
     ])
     def test_numeric_flags_only_on_sigma_and_sum(self, capsys, argv):
         assert run(capsys, *argv, "--max-terms", "500")[0] == 2
-        code, _, err = run(capsys, *argv, "--grid-levels", "6")
+        code, _, err = run(capsys, *argv, "--numeric")
         if argv[0] in ("sigma", "sum"):
             assert (code, err) == (0, "")
         else:
             assert code == 2
-            assert "unrecognized arguments: --grid-levels 6" in err
+            assert "unrecognized arguments: --numeric" in err
+
+    def test_numeric_takes_no_grid_option(self, capsys):
+        code, out, err = run(capsys, "sigma", "3", "--numeric", "--grid-levels", "6")
+        assert (code, out) == (2, "")
+        assert err.endswith("divsum: error: unrecognized arguments: --grid-levels 6\n")
 
     def test_csv_record_output(self, capsys):
         code, out, _ = run(capsys, "sigma", "1", "--format", "csv")
