@@ -10,7 +10,7 @@ Subcommands::
 
 Every subcommand accepts ``--format plain|json|csv``; ``sigma`` and ``sum``
 also take ``--numeric`` for the numeric cross-check at x = 1, which falls
-back to a ten-level Abel grid where that node does not settle.
+back to block means of the partial sums where that node does not settle.
 Each call is parsed once, by its subcommand's parser; calls it cannot
 parse alone (no subcommand first, or arguments it does not know) go
 through the top-level parser for its usage error.
@@ -28,12 +28,13 @@ import csv
 import io
 import json
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .abel import DivergentGridError, NonconvergenceError, compare_exact
-from .cfinite import alternating_power_series, axiomatic_sum
+from .abel import NonconvergenceError, NotSummableInputError, compare_exact
+from .cfinite import SummationOutcome, alternating_power_series, axiomatic_sum
 from .parsing import parse_series
 from .sequences import (
     BERNOULLI_METHODS,
@@ -117,15 +118,19 @@ def _handle_table(args):
 
 
 def _summation_payload(series, args):
-    outcome = axiomatic_sum(series)
+    # compare_exact decides the sum; a non-summable one is summed again for its pole order
+    report = None
+    if args.numeric:
+        with suppress(NotSummableInputError):
+            report = compare_exact(series)
+    outcome = axiomatic_sum(series) if report is None else SummationOutcome(report.exact)
     if not outcome.is_summable:
         plain = f"not summable: pole of order {outcome.pole_order} at x=1"
         return 1, Record(outcome.to_json(), plain=plain)
     fields = outcome.to_json()
     plain = fields["sum"]
     code = 0
-    if args.numeric:
-        report = compare_exact(series)
+    if report is not None:
         fields["numeric"] = report.to_json()
         verdict = "pass" if report.passed else "FAIL"
         plain += (
@@ -265,7 +270,7 @@ def run_command(argv) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonconvergenceError, DivergentGridError) as exc:
+    except NonconvergenceError as exc:
         print(f"numeric evaluation failed: {exc}", file=sys.stderr)
         return 1
     print(emit(args.format, payload))

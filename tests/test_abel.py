@@ -1,25 +1,18 @@
+import contextlib
 import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 
 import pytest
 
 from divsum import abel
-from divsum.abel import (
-    DivergentGridError,
-    NonconvergenceError,
-    NotSummableInputError,
-    abel_estimate,
-    compare_exact,
-    partial_value,
-)
+from divsum.abel import NonconvergenceError, NotSummableInputError, compare_exact, partial_value
 from divsum.cfinite import (
     CFiniteSeries,
     alternating_power_series,
     axiomatic_sum,
-    characteristic_polynomial,
     fibonacci_series,
     generating_function,
     geometric_series,
@@ -34,15 +27,7 @@ F = Fraction
 
 class TestConfig:
     def test_defaults(self):
-        series = alternating_power_series(1)
-        assert abel_estimate(series).nodes_used == 10
-        assert compare_exact(series).nodes == 1  # the node at x = 1
-
-    def test_validation(self):
-        message = "extrapolation needs at least 3 grid levels"
-        with pytest.raises(ValueError, match=message):
-            abel_estimate(alternating_power_series(1), grid_levels=2)
-        assert abel_estimate(alternating_power_series(1), grid_levels=3).nodes_used == 3
+        assert compare_exact(alternating_power_series(1)).nodes == 1  # the node at x = 1
 
 
 class TestPartialValue:
@@ -113,58 +98,10 @@ class TestPartialValue:
         series = CFiniteSeries([0, 0, -1, 0, 0, F(-1, 3)], [0, -3, 3, 3, 2, 2])
         assert partial_value(series, F(7, 8)) == pytest.approx(2878344 / 1430929, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "series",
-        [
-            alternating_power_series(5),
-            fibonacci_series(),
-            odd_alternating_series(7),
-            poly_exp_series([2, 2], -3),
-            CFiniteSeries([1, F(-1, 3)], [0, 1]),
-        ],
-    )
-    def test_equals_the_grid_node_values(self, series):
-        nodes = abel_estimate(series).per_node_values
-        levels = range(abel._FIRST_LEVEL, abel._FIRST_LEVEL + abel._GRID_LEVELS)
-        assert [partial_value(series, 1 - F(1, 2 ** j)) for j in levels] == list(nodes)
-
-
-class TestAbelEstimate:
-    def test_alternating_first_power_tight(self):
-        result = abel_estimate(alternating_power_series(1))
-        assert abs(result.estimate - 0.25) < 1e-8
-        assert result.nodes_used == 10
-        assert len(result.per_node_values) == 10
-        assert result.error_estimate >= 0.0
-
-    def test_alternating_cube(self):
-        result = abel_estimate(alternating_power_series(3))
-        assert abs(result.estimate - (-0.125)) < 1e-6
-
-    def test_fibonacci_beyond_radius(self):
-        result = abel_estimate(fibonacci_series())
-        assert abs(result.estimate - (-1.0)) < 1e-6
-
-    def test_all_ones_divergent(self):
-        with pytest.raises(DivergentGridError):
-            abel_estimate(poly_exp_series([1], 1))
-
-    def test_naturals_divergent(self):
-        with pytest.raises(DivergentGridError):
-            abel_estimate(poly_exp_series([1, 1], 1))
-
-    def test_error_estimate_shrinks_with_grid(self):
-        for k in range(11):
-            series = alternating_power_series(k)
-            errors = [
-                abel_estimate(series, grid_levels=j).error_estimate
-                for j in range(5, 11)
-            ]
-            assert all(b < a for a, b in zip(errors, errors[1:])), f"k={k}: {errors}"
-
 
 class TestCompareExact:
-    NEAR_ONE = [F(1024, 1023), F(255, 256), F(32767, 32768), 1 - F(1, 2 ** 25)]
+    NEAR_ONE = [F(1024, 1023), F(255, 256), F(32767, 32768), 1 - F(1, 2 ** 25), F(8, 7),
+                F(16, 15)]
 
     @pytest.mark.parametrize(
         "series",
@@ -175,9 +112,7 @@ class TestCompareExact:
         + [f"ratio-{r}" for r in NEAR_ONE],
     )
     def test_passing_estimate_is_close(self, series):
-        # the grid's Neville extrapolation passed sigma 40 with 9.99e9 against
-        # an exact 0 and ratio 1024/1023 with -1190.4 against -1023, and
-        # raised DivergentGridError at 32767/32768; the node at x = 1 is exact
+        # the node at x = 1 is exact: no extrapolation toward it from below
         report = compare_exact(series)
         assert report.passed
         assert report.abs_error <= 1e-6 * max(1.0, abs(report.exact))
@@ -196,6 +131,10 @@ class TestCompareExact:
         report = compare_exact(series)
         assert (report.exact, report.passed, report.nodes) == (exact, passed, 1)
 
+    def test_alternating_first_power_tight(self):
+        report = compare_exact(alternating_power_series(1))
+        assert abs(report.estimate - 0.25) < 1e-8
+
     def test_alternating_unit(self):
         report = compare_exact(alternating_power_series(0))
         assert report.passed
@@ -206,9 +145,10 @@ class TestCompareExact:
         assert report.passed
         assert report.exact == F(-1, 2)
 
-    def test_not_summable_rejected(self):
+    @pytest.mark.parametrize("polynomial", [[1], [1, 1]], ids=["ones", "naturals"])
+    def test_not_summable_rejected(self, polynomial):
         with pytest.raises(NotSummableInputError):
-            compare_exact(poly_exp_series([1, 1], 1))
+            compare_exact(poly_exp_series(polynomial, 1))
 
     def test_json_schema(self):
         payload = compare_exact(alternating_power_series(1)).to_json()
@@ -234,9 +174,12 @@ class TestCompareExact:
 class TestStatePerEstimate:
     """Terms are read once per estimate, and singular epsilon tables still settle."""
 
-    def test_epsilon_path_reads_terms_once(self, monkeypatch):
-        # the nodes read the integer term stream, one stream per estimate
-        series = alternating_power_series(8)
+    @pytest.mark.parametrize("series", [
+        alternating_power_series(8),  # eta(-8) = 0 at the node x = 1
+        CFiniteSeries([0, 0, 0, 0, F(1, 2)], [1, 2, 3, 4, 5]),  # on block means of stride 5
+    ], ids=["node", "block-means"])
+    def test_reads_one_term_stream(self, monkeypatch, series):
+        # the node and every stride read one integer term stream, never from a_0 again
         streams = []
         term_pairs = CFiniteSeries._term_pairs
 
@@ -245,8 +188,7 @@ class TestStatePerEstimate:
             return term_pairs(s)
 
         monkeypatch.setattr(CFiniteSeries, "_term_pairs", counting_term_pairs)
-        result = abel_estimate(series)
-        assert abs(result.estimate) < 1e-6  # eta(-8) = 0
+        assert compare_exact(series).passed
         assert streams == [series]
 
     @pytest.mark.parametrize(
@@ -273,8 +215,8 @@ class TestStatePerEstimate:
         ],
     )
     def test_zero_terms_settle(self, recurrence, initial, exact):
-        # zero terms repeat partial sums: the grid nodes skip them, the node
-        # at x = 1 keeps them and does not settle in column 0
+        # zero terms repeat partial sums: a node below x = 1 skips them, the
+        # node at x = 1 keeps them and does not settle in column 0
         series = CFiniteSeries(recurrence, initial)
         report = compare_exact(series)
         assert report.passed
@@ -288,14 +230,15 @@ class TestStatePerEstimate:
 
 
 class TestNodeAtOne:
-    """compare_exact reads the epsilon node at x = 1; the grid is its fallback."""
+    """compare_exact reads the epsilon node at x = 1; block means are its fallback."""
 
     @pytest.mark.parametrize(
         "recurrence, initial, exact",
         [
             # sums 1, 1, 0, 1, 1, 0, ...: without the zeros, 1, 0, 1, 0 settles on 1/2
             ([-1, -1], [1, 0], F(2, 3)),
-            # no grid node settles here (the strict xfail above), but x = 1 does
+            # the node at x = 7/8 does not settle here (the strict xfail above),
+            # but x = 1 does
             ([0, 0, -1, 0, 0, F(-1, 3)], [0, -3, 3, 3, 2, 2], F(3)),
         ],
     )
@@ -313,14 +256,167 @@ class TestNodeAtOne:
             ([0] * 11 + [F(-1, 2)], [1] + [0] * 11, F(2, 3)),
             # Q = (1 - x)(1 - x^3/5): a removable factor at x = 1 as well
             ([1, 0, F(1, 5), F(-1, 5)], [0, -3, 0, 0], F(-15, 4)),
+            # Q = (1 + x)(1 - 2x^4) and Q = (1 + x^2)(1 - 6x^5): stride 2 settles
+            ([-1, 0, 0, 2, 2], [0, 0, F(1, 2), F(-1, 2), F(1, 2)], F(-1, 4)),
+            ([0, -1, 0, 0, 6, 0, 6], [0, 0, 0, 1, 0, -1, 0], F(-1, 10)),
         ],
     )
-    def test_unsettled_node_falls_back_to_the_grid(self, recurrence, initial, exact):
-        # the node at x = 1 raises NonconvergenceError; the grid passes
-        report = compare_exact(CFiniteSeries(recurrence, initial))
-        assert report.passed
-        assert report.exact == exact
-        assert report.nodes == abel._GRID_LEVELS
+    def test_unsettled_node_falls_back_to_block_means(self, recurrence, initial, exact):
+        series = CFiniteSeries(recurrence, initial)
+        with pytest.raises(NonconvergenceError):
+            abel._value_at(node_pairs(series), series.order, F(1))
+        report = compare_exact(series)
+        assert (report.exact, report.passed, report.nodes) == (exact, True, 1)
+
+
+def forced_block_value(series):
+    """The block-means estimate at x = 1, whether or not the node there settles."""
+    return abel._block_value(series, [], series._term_pairs())
+
+
+def within_bound(estimate, exact):
+    return abs(estimate - float(exact)) <= 1e-6 * max(1.0, abs(float(exact)))
+
+
+class TestBlockMeans:
+    """Block means of the partial sums at x = 1, on the strides that the
+    guard against repeated roots of unity leaves."""
+
+    @pytest.mark.parametrize(
+        "recurrence, initial, exact",
+        [
+            # Q = (1 - x)(1 - x^3/5): x - 1 divides P and Q
+            ([1, 0, F(1, 5), F(-1, 5)], [0, -3, 0, 0], F(-15, 4)),
+            # zero recurrence coefficients: a(n) = a(n-5)/2 and a(n) = -a(n-2) - a(n-4)/2
+            ([0, 0, 0, 0, F(1, 2)], [1, 2, 3, 4, 5], 30),
+            ([0, -1, 0, F(-1, 2)], [0, 3, -3, -3], 0),
+            # zero terms recur in every window: the strict xfail of partial_value at x = 7/8
+            ([0, 0, -1, 0, 0, F(-1, 3)], [0, -3, 3, 3, 2, 2], 3),
+            # the gcd of the lags is 12, above the largest stride
+            ([0] * 11 + [F(-1, 2)], list(range(1, 13)), 52),
+            # Q = 1 - 3x^2/4: its terms grow in every other place
+            ([0, F(3, 4)], [-4, 4], 0),
+        ],
+    )
+    def test_named_series(self, recurrence, initial, exact):
+        assert within_bound(forced_block_value(CFiniteSeries(recurrence, initial)), exact)
+
+    def test_guard_skips_a_repeated_root_of_unity(self, monkeypatch):
+        # Q = 1 + x + x^3 + x^4 = (1 + x)^2 (1 - x + x^2): on stride 2 the means
+        # keep a constant from the double root -1 and settle on 1/6
+        series = CFiniteSeries([-1, 0, -1, -1], [3, -4, 4, -7])
+        assert axiomatic_sum(series).value == F(1, 2)
+        assert within_bound(forced_block_value(series), F(1, 2))
+        monkeypatch.setattr(abel, "_repeated_unit_root", lambda q, p: False)
+        assert forced_block_value(series) == pytest.approx(1 / 6)
+
+    @pytest.mark.parametrize("q, strides", [
+        ([1, 2, 1], {2, 4, 6, 8}),  # (1 + x)^2
+        ([1, 1, 1], set()),  # Phi_3 once
+        ([1, 2, 3, 2, 1], {3, 6}),  # Phi_3^2
+        ([1, 0, 2, 0, 1], {4, 8}),  # Phi_4^2
+        ([1, -1, -1, 1], set()),  # (1 - x)^2 (1 + x): the root 1 is no concern
+        ([25, -10, 1], set()),  # (5 - x)^2
+    ])
+    def test_repeated_unit_root(self, q, strides):
+        assert {p for p in range(2, 9) if abel._repeated_unit_root(q, p)} == strides
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cyclotomic_polynomials(self, n):
+        # x^n - 1 is the product of Phi_k over the k dividing n, Phi_1 = x - 1
+        product = Polynomial([-1, 1])
+        for k in range(2, n + 1):
+            if n % k == 0:
+                product = product * Polynomial(abel._CYCLOTOMIC[k])
+        assert product == Polynomial([-1] + [0] * (n - 1) + [1])
+
+    @pytest.mark.parametrize("recurrence, strides", [
+        ([0, 0, 0, 1, 0, 0, 0, F(1, 2)], [4, 2, 3, 5, 6, 7, 8]),  # the gcd 4 first
+        ([1, 0, 1], [2, 3]),  # gcd 1: 2..d
+        ([0] * 11 + [1], [2, 3, 4, 5, 6, 7, 8]),  # no stride above 8
+    ])
+    def test_strides_and_no_settled_stride(self, monkeypatch, recurrence, strides):
+        tried = []
+
+        def skip(q, p):
+            tried.append(p)
+            return True
+
+        monkeypatch.setattr(abel, "_repeated_unit_root", skip)
+        series = CFiniteSeries(recurrence, [1] * len(recurrence))
+        with pytest.raises(NonconvergenceError, match="no block means"):
+            forced_block_value(series)
+        assert tried == strides
+
+
+def structured_corpus(seed=2027, count=1500):
+    """Summable series whose Q is R(x^p) F(x): p = 2..5, R of degree 1 or 2
+    with R(0) = 1, F = 1 - x (also a factor of P, so removable), 1 + x,
+    1 + x^2 or 1 with probabilities 0.3, 0.2, 0.1 and 0.4, deg Q <= 8, and P
+    of a random degree below Q's; coefficients p/q with |p|, q <= 9."""
+    rng = random.Random(seed)
+
+    def rational():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    corpus = []
+    while len(corpus) < count:
+        p, degree = rng.randint(2, 5), rng.randint(1, 2)
+        r = [1] + [rational() for _ in range(degree)]
+        if not r[-1]:
+            continue
+        factor = rng.choices([[1, -1], [1, 1], [1, 0, 1], [1]], [0.3, 0.2, 0.1, 0.4])[0]
+        q = Polynomial([r[i // p] if i % p == 0 else 0 for i in range(p * degree + 1)])
+        q = q * Polynomial(factor)
+        d = q.degree
+        if d > 8:
+            continue
+        if factor == [1, -1]:
+            numerator = Polynomial([rational() for _ in range(rng.randint(1, d - 1))])
+            numerator = numerator * Polynomial(factor)
+        else:
+            numerator = Polynomial([rational() for _ in range(rng.randint(1, d))])
+        initial = []
+        for n in range(d):
+            initial.append(numerator.coefficient(n)
+                           - sum(q.coefficient(j) * initial[n - j] for j in range(1, n + 1)))
+        series = CFiniteSeries([-q.coefficient(j) for j in range(1, d + 1)], initial)
+        if any(initial) and axiomatic_sum(series).is_summable:
+            corpus.append(series)
+    return corpus
+
+
+class TestStructuredCorpus:
+    """Seed 2027: where the node at x = 1 does not settle, the block means
+    pass, and forced onto every series of order >= 2 they never settle on
+    a wrong value."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return structured_corpus()
+
+    def test_unsettled_nodes_pass_on_block_means(self, corpus):
+        fallback = 0
+        for series in corpus:
+            try:
+                abel._value_at(node_pairs(series), series.order, F(1))
+            except NonconvergenceError:
+                fallback += 1
+                report = compare_exact(series)
+                assert report.passed, series
+        assert fallback > 300
+
+    def test_forced_block_means_never_settle_wrong(self, corpus):
+        for series in corpus:
+            if series.order >= 2:
+                with contextlib.suppress(NonconvergenceError):
+                    assert within_bound(forced_block_value(series),
+                                        axiomatic_sum(series).value), series
+
+
+def node_pairs(series):
+    """The integer term pairs one node reads: the first 5d + 35."""
+    return list(islice(series._term_pairs(), 5 * series.order + 35))
 
 
 def node_corpus(rng):
@@ -360,7 +456,7 @@ class TestIntegerNodeInputs:
     def test_inputs_match_the_fraction_route(self):
         widened = 0
         for series in node_corpus(random.Random(29)):
-            terms, digits = abel._node_inputs(series)
+            terms, digits = abel._node_inputs(node_pairs(series))
             expected, expected_digits = fraction_node_inputs(series)
             assert digits == expected_digits
             # the same values with the same coefficients and exponents
@@ -370,7 +466,7 @@ class TestIntegerNodeInputs:
 
     def test_sums_at_one_are_the_running_sum(self):
         for series in node_corpus(random.Random(29)):
-            terms, digits = abel._node_inputs(series)
+            terms, digits = abel._node_inputs(node_pairs(series))
             with localcontext() as ctx:
                 ctx.prec = digits
                 sums = abel._partial_sums(terms, Decimal(1))
@@ -380,69 +476,6 @@ class TestIntegerNodeInputs:
                     running.append(total)
             assert len(sums) == len(terms)
             assert [a.as_tuple() for a in sums] == [a.as_tuple() for a in running]
-
-
-@pytest.mark.parametrize("ratio, exact", [(F(8, 7), -7), (F(16, 15), -15)])
-def test_ratio_with_a_pole_on_the_grid(ratio, exact):
-    # r = 2^j/(2^j - 1) puts x_j = 1/r on a pole; that level is skipped
-    series = poly_exp_series([1], ratio)
-    report = compare_exact(series)
-    assert report.passed
-    assert report.exact == exact
-    assert abel_estimate(series).nodes_used == 10
-
-
-class TestPoleLevels:
-    """The integer test Q(x_j) != 0 skips the levels that the characteristic
-    polynomial, evaluated at 1/x_j in Fractions, skipped."""
-
-    @staticmethod
-    def levels(monkeypatch, series, grid_levels=abel._GRID_LEVELS):
-        """The levels j whose nodes x_j = 1 - 2^-j abel_estimate evaluates."""
-        levels = []
-
-        def record(terms, order, x_dec, digits):
-            levels.append((1 / (1 - F(x_dec))).numerator.bit_length() - 1)
-            return x_dec  # no pole signature: the values barely grow
-
-        monkeypatch.setattr(abel, "_node_value", record)
-        abel_estimate(series, grid_levels)
-        return levels
-
-    @staticmethod
-    def charpoly_levels(series, grid_levels=abel._GRID_LEVELS):
-        charpoly = characteristic_polynomial(series)
-        off_pole = (j for j in count(abel._FIRST_LEVEL)
-                    if charpoly.evaluate(F(2 ** j, 2 ** j - 1)))
-        return list(islice(off_pole, grid_levels))
-
-    @pytest.mark.parametrize("j", range(3, 13))
-    def test_resonant_ratios(self, monkeypatch, j):
-        expected = [i for i in range(3, 14) if i != j]
-        for p in ([1], [2, -1, F(1, 3)]):
-            series = poly_exp_series(p, F(2 ** j, 2 ** j - 1))
-            assert self.levels(monkeypatch, series) == self.charpoly_levels(series) == expected
-
-    def test_seeded_corpus(self, monkeypatch):
-        rng = random.Random(19)
-        skipped = 0
-        for _ in range(80):
-            # roots at 1/x_j for some levels j, with multiplicity, among
-            # random rationals, zero roots and roots at 1
-            roots = [F(2 ** j, 2 ** j - 1) for j in rng.choices(range(3, 16), k=rng.randint(0, 4))]
-            roots += [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 3))]
-            roots += [F(1)] * rng.randint(0, 1)
-            char = Polynomial([1])
-            for r in roots:
-                char = char * Polynomial([-r, 1])
-            d = char.degree
-            series = CFiniteSeries([-char.coefficient(d - i) for i in range(1, d + 1)],
-                                   [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)])
-            grid_levels = rng.randint(3, 12)
-            levels = self.levels(monkeypatch, series, grid_levels)
-            assert levels == self.charpoly_levels(series, grid_levels)
-            skipped += levels[-1] - abel._FIRST_LEVEL + 1 - grid_levels
-        assert skipped > 80
 
 
 def _assert_matches_oracle(series, oracle):

@@ -17,7 +17,7 @@ def test_package_exports_the_union_of_the_layer_modules_all():
                 if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert exported.keys() == declared.keys()
     assert all(exported[name] is value for name, value in declared.items())
-    assert len(exported) == 53
+    assert len(exported) == 50
 
 
 @pytest.mark.parametrize("cls, params", [
