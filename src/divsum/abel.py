@@ -9,8 +9,10 @@ function's value exactly after finitely many columns.  ``compare_exact``
 takes that value at x = 1 itself, which is the Abel limit with no limit
 left to take; where that node does not settle, block means of the partial
 sums, which average out the roots of unity among the recurrence's roots,
-take its place.  ``partial_value`` returns the value at one x < 1.  Every
-node reads the same first 5d + 35 terms of an order-d series.
+take its place.  At x = 1 each epsilon window runs first on its last
+2d + 5 sums, and only a whole flat even column settles it.
+``partial_value`` returns the value at one x < 1.  Every node reads the
+same first 5d + 35 terms of an order-d series.
 
 All summation runs in ``decimal`` arithmetic at a precision derived from
 the size of the terms, with 50 digits as the floor.
@@ -104,16 +106,16 @@ def _wynn_even(sums: list[Decimal], digits: int, every_n: bool = False,
     the working precision ``digits`` at the sums' scale, or half the digits
     below its entries: an exactly equal pair keeps the rounding error that
     earlier columns amplified.  In an even column, a flat pair that starts
-    a flat run to the column's end, of three entries or the whole column,
-    is the converged answer; earlier entries may span a zero term the sums
-    skip.  Any other flat pair makes the next entry infinite (None); two
-    columns on, Wynn's particular rule E = N + S - W replaces the rhombus
-    rule.  Larger singular blocks leave the value unsettled.  With
-    ``every_n`` the sums include the n with a_n = 0, so column 0 never
-    settles: a flat run there is a run of zero terms, not convergence.
-    With ``blocks`` the sums are block means, and a settled run fills its
-    whole column, column 0 included: a shorter run may be one phase of a
-    periodic column.
+    a flat run to the column's end is the converged answer.  Below x = 1 a
+    run of three entries is enough, as earlier entries may span a zero term
+    the sums skip.  At x = 1 (``every_n`` or ``blocks``) the run fills the
+    whole column: a shorter run may be one phase of a periodic column.  Any
+    other flat pair makes the next entry infinite (None); two columns on,
+    Wynn's particular rule E = N + S - W replaces the rhombus rule.  Larger
+    singular blocks leave the value unsettled.  With ``every_n`` the sums
+    include the n with a_n = 0, so column 0 never settles: a flat run there
+    is a run of zero terms, not convergence.  With ``blocks`` the sums are
+    block means, whose column 0 settles like any other.
     """
     # both flat thresholds as decimal exponents
     low = (max(map(abs, sums)) + 1).adjusted() + 8 - digits
@@ -138,7 +140,7 @@ def _wynn_even(sums: list[Decimal], digits: int, every_n: bool = False,
             elif (delta := b - a) and (e := delta.adjusted()) >= low and e + half >= b.adjusted():
                 new.append(c + _ONE / delta)
             elif (col % 2 == 1 or (every_n and col == 0)
-                  or len(tail := cur[i:]) < (len(cur) if blocks else min(3, len(cur)))
+                  or len(tail := cur[i:]) < (len(cur) if every_n or blocks else min(3, len(cur)))
                   or None in tail
                   or max(tail) - min(tail) > _SETTLE * (1 + abs(tail[-1]))):
                 new.append(None)
@@ -152,14 +154,23 @@ def _wynn_even(sums: list[Decimal], digits: int, every_n: bool = False,
 
 
 def _settled(sums: list[Decimal], order: int, digits: int, every_n: bool, blocks: bool = False):
-    """The first of three epsilon windows of 2d + 21 sums that settles, or None."""
+    """The first of three epsilon windows of 2d + 21 sums that settles, or None.
+
+    At x = 1 (``every_n`` or ``blocks``) each window runs first on its last
+    2d + 5 sums, and in full only where they do not settle.  An entry
+    depends only on the sums under it, so the suffix ends on the full
+    window's own entries, and it holds column 2d, where an order-d series
+    is exact, with five entries.
+    """
     span = 2 * order + 21
     for attempt in range(3):
         # sparse terms leave fewer sums: then the windows end at the last one
         start = min(order + attempt * (order + 7), max(len(sums) - span, 0))
-        value, settled = _wynn_even(sums[start:start + span], digits, every_n, blocks)
-        if settled:
-            return value
+        window = sums[start:start + span]
+        for run in (window[-2 * order - 5:], window) if every_n or blocks else (window,):
+            value, settled = _wynn_even(run, digits, every_n, blocks)
+            if settled:
+                return value
     return None
 
 

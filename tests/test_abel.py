@@ -387,13 +387,24 @@ def structured_corpus(seed=2027, count=1500):
 
 
 class TestStructuredCorpus:
-    """Seed 2027: where the node at x = 1 does not settle, the block means
-    pass, and forced onto every series of order >= 2 they never settle on
-    a wrong value."""
+    """Seed 2027: every node at x = 1 that settles is right, where it does
+    not settle the block means pass, and forced onto every series of order
+    >= 2 they never settle on a wrong value."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
         return structured_corpus()
+
+    def test_settled_nodes_are_right(self, corpus):
+        # a flat run of three entries settled 18 of these nodes on one phase
+        # of a periodic even column; a whole flat column settles none wrong
+        settled = 0
+        for series in corpus:
+            with contextlib.suppress(NonconvergenceError):
+                value = abel._value_at(node_pairs(series), series.order, F(1))
+                settled += 1
+                assert within_bound(value, axiomatic_sum(series).value), series
+        assert settled > 1000
 
     def test_unsettled_nodes_pass_on_block_means(self, corpus):
         fallback = 0
@@ -434,6 +445,52 @@ def node_corpus(rng):
         d = rng.randint(1, 6)
         corpus.append(CFiniteSeries([rational() for _ in range(d)], [rational() for _ in range(d)]))
     return corpus + [CFiniteSeries([0, 0, 0], [2, -1, 5]), CFiniteSeries([F(1, 2), 0], [7, 0])]
+
+
+class TestSuffixAtOne:
+    """At x = 1 each epsilon window runs first on its last 2d + 5 sums. An
+    entry depends only on the sums under it, so where the suffix settles it
+    returns the very entry the full window returns: the same digits and
+    exponent, and so the same printed estimate.  (On 13 of these windows
+    the full window returns that entry without calling it settled.)"""
+
+    def test_suffix_settles_on_the_full_windows_entry(self):
+        same = 0
+        for series in node_corpus(random.Random(29)):
+            d = series.order
+            terms, digits = abel._node_inputs(node_pairs(series))
+            with localcontext() as ctx:
+                ctx.prec = digits
+                sums = abel._partial_sums(terms, Decimal(1))
+                for start in (d, 2 * d + 7, 3 * d + 14):  # the windows of _settled
+                    window = sums[start:start + 2 * d + 21]
+                    value, settled = abel._wynn_even(window[-2 * d - 5:], digits, every_n=True)
+                    if settled:
+                        full, _ = abel._wynn_even(window, digits, every_n=True)
+                        assert value.as_tuple() == full.as_tuple(), series
+                        same += 1
+        assert same > 100
+
+    def test_suffix_runs_first(self, monkeypatch):
+        runs = []
+        wynn_even = abel._wynn_even
+
+        def recording(sums, *args, **kwargs):
+            runs.append(sums)
+            return wynn_even(sums, *args, **kwargs)
+
+        monkeypatch.setattr(abel, "_wynn_even", recording)
+        # sigma 8 (d = 9) settles on the last 23 of the sums 9..47, its first
+        # window; the node below x = 1 runs the full windows only
+        series = alternating_power_series(8)
+        assert compare_exact(series).passed
+        terms, digits = abel._node_inputs(node_pairs(series))
+        with localcontext() as ctx:
+            ctx.prec = digits
+            assert runs == [abel._partial_sums(terms, Decimal(1))[25:48]]
+        runs.clear()
+        partial_value(series, F(1, 2))
+        assert runs and {len(sums) for sums in runs} == {2 * 9 + 21}
 
 
 def fraction_node_inputs(series):

@@ -117,6 +117,16 @@ class TestSigmaCommand:
         assert payload["sum"] == payload["numeric"]["exact"] == exact
         assert payload["numeric"]["pass"] is True
 
+    def test_flat_phase_of_a_periodic_column_does_not_settle(self, capsys):
+        # Q = (1 + x)(1 - 3x^4): a flat run of three entries at x = 1 was one
+        # phase of a periodic even column, and the node settled on 9841
+        code, out, _ = run(capsys, "sum", "rec a(n)=-a(n-1)+3a(n-4)+3a(n-5); init 2,-2,2,-2,8",
+                           "--numeric")
+        assert code == 0
+        first, numeric = out.split("\n")
+        assert first == "-1/2"
+        assert numeric.endswith(": pass")
+
     @pytest.mark.parametrize("argv, calls", [
         (["sigma", "5", "--numeric"], 1),
         (["sigma", "40", "--numeric", "--format", "json"], 1),

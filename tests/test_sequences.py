@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 from operator import add, mul
 
@@ -603,6 +603,99 @@ class TestSecantRoute:
                 IDENTITY_CHECKS[identity](10)
         finally:
             euler_table.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def euler_residues(n_max, p):
+    """(-1)^(n/2) E_n mod p at even n <= n_max, for an odd prime p, from the
+    divergent series 1 - 3^n + 5^n - ... cut after p terms.
+
+    sum_{j<m} (-1)^j (x + j)^n = (E_n(x) + E_n(x + m)) / 2 for odd m; at
+    m = p and x = 1/2, times 2^n, the sum is E_n (signed) mod p.  One list
+    of p powers, stepped by (2j + 1)^2 from one even n to the next.
+    """
+    powers = [1 - 2 * (j & 1) for j in range(p)]  # (-1)^j (2j + 1)^0
+    squares = [(2 * j + 1) ** 2 % p for j in range(p)]
+    residues = []
+    for _ in range(0, n_max + 1, 2):
+        residues.append(sum(powers) % p)
+        powers = [x * y % p for x, y in zip(powers, squares)]
+    return residues
+
+
+@lru_cache(maxsize=None)
+def bernoulli_residues(n_max, p):
+    """B_m mod p at m <= n_max, for a prime p > n_max + 1, from the divergent
+    series 0^m + 1^m + 2^m + ... cut after p terms.
+
+    Faulhaber's formula taken mod p^2 gives p B_m = sum_{j<p} j^m (mod p^2),
+    with 0^0 = 1 and B_1 = -1/2.
+    """
+    square = p * p
+    powers = [1] * p  # j^0
+    residues = []
+    for _ in range(n_max + 1):
+        total = sum(powers) % square
+        assert total % p == 0
+        residues.append(total // p)
+        powers = [x * j % square for j, x in enumerate(powers)]
+    return residues
+
+
+def euler_certified(values, p):
+    """Whether every even-index entry of an Euler table meets its residue mod p."""
+    return all(((-1) ** k * e - r) % p == 0
+               for k, (e, r) in enumerate(zip(values[::2], euler_residues(len(values) - 1, p))))
+
+
+def bernoulli_certified(values, p):
+    """Whether every entry of a Bernoulli table meets its residue mod p."""
+    return all((b.numerator - r * b.denominator) % p == 0
+               for b, r in zip(values, bernoulli_residues(len(values) - 1, p)))
+
+
+class TestModularCertificates:
+    """Every table method at N = 1000 against the paper's divergent series
+    cut after p terms, mod p: a check that shares no step with any builder."""
+
+    @pytest.mark.parametrize("method", EULER_METHODS)
+    @pytest.mark.parametrize("p", [7, 11, 101, 1009])
+    def test_euler_tables(self, method, p):
+        assert euler_certified(euler_table(1000, method).values, p)
+
+    @pytest.mark.parametrize("method", BERNOULLI_METHODS)
+    def test_bernoulli_tables(self, method):
+        assert bernoulli_certified(bernoulli_table(1000, method).values, 1009)
+
+    def test_corrupted_secant_kernel_fails(self, monkeypatch):
+        # the corrupted kernel of TestSecantRoute: two more than E_1000
+        real = sequences._secant_numbers
+        monkeypatch.setattr(sequences, "_secant_numbers", lambda n: [*real(n)[:-1], real(n)[-1] + 2])
+        euler_table.cache_clear()
+        try:
+            values = euler_table(1000, "secant").values
+        finally:
+            euler_table.cache_clear()
+        assert not any(euler_certified(values, p) for p in (7, 11, 101, 1009))
+
+    @pytest.mark.parametrize("table, builders, certified", [
+        (bernoulli_table, sequences._BERNOULLI_BUILDERS, bernoulli_certified),
+        (euler_table, sequences._EULER_BUILDERS, euler_certified),
+    ], ids=["bernoulli", "euler"])
+    def test_one_wrong_entry_in_any_builder_fails(self, monkeypatch, table, builders, certified):
+        # one more than the entry at index 500, whichever method built it
+        def corrupted(real, n):
+            values = real(n)
+            values[500] += 1
+            return values
+
+        for method in builders:
+            monkeypatch.setitem(builders, method, partial(corrupted, builders[method]))
+            table.cache_clear()
+            try:
+                assert not certified(table(1000, method).values, 1009), method
+            finally:
+                table.cache_clear()
 
 
 def _case_id(case):
