@@ -3,7 +3,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 
@@ -90,26 +90,44 @@ class TestPartialValue:
             30893474432 / 1155047105, rel=1e-12
         )
 
-    @pytest.mark.xfail(
-        strict=True, raises=NonconvergenceError, reason="zero terms recur in every epsilon window"
-    )
     def test_recurring_zero_terms(self):
-        # zeros at n = 13, 18, 31, 36, ...: no window has a flat tail past them
+        # zeros at n = 13, 18, 31, 36, ...: the sums keep them, and no run
+        # of them fills a column
         series = CFiniteSeries([0, 0, -1, 0, 0, F(-1, 3)], [0, -3, 3, 3, 2, 2])
         assert partial_value(series, F(7, 8)) == pytest.approx(2878344 / 1430929, rel=1e-12)
+
+    @pytest.mark.parametrize("recurrence, initial, x", [
+        # a flat run of three entries, short of the column, reads -47.58 at 7/8
+        # (exact -6291456/10777601)
+        ([0, -1, 2, 0, 2, -4, 0, -4],
+         [-2, F(4, 7), 2, F(-32, 7), F(-6, 7), F(32, 7), F(6, 7), F(-32, 7)], F(7, 8)),
+        ([0, -1, 2, 0, 2, -4, 0, -4],
+         [-2, F(4, 7), 2, F(-32, 7), F(-6, 7), F(32, 7), F(6, 7), F(-32, 7)], F(31, 32)),
+        # with its zero terms dropped from the sums, no window settles here
+        ([0, 0, 1, 0, 0, F(-1, 3), 0], [0, 0, 0, 0, F(5, 6), 0, F(-5, 8)], F(7, 8)),
+    ])
+    def test_sum_at_one_of_the_scaled_series(self, recurrence, initial, x):
+        # the value at x is the sum at 1 of a_n x^n, recurrence c_j x^j
+        series = CFiniteSeries(recurrence, initial)
+        p, q = generating_function(series)
+        expected = float(p.evaluate(x) / q.evaluate(x))
+        assert abs(partial_value(series, x) - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
 class TestCompareExact:
     NEAR_ONE = [F(1024, 1023), F(255, 256), F(32767, 32768), 1 - F(1, 2 ** 25), F(8, 7),
                 F(16, 15)]
+    # terms that fall below the working precision: column 0 settles, and
+    # at d = 1 no stride above 1 is left to fall back on
+    SMALL = [F(1, 16), F(1, 17), F(-1, 50), F(1, 100), F(3, 61), F(1, 10 ** 6)]
 
     @pytest.mark.parametrize(
         "series",
         [alternating_power_series(k) for k in range(26, 61, 2)]
         + [odd_alternating_series(61), odd_alternating_series(101)]
-        + [poly_exp_series([1], r) for r in NEAR_ONE],
+        + [poly_exp_series([1], r) for r in NEAR_ONE + SMALL],
         ids=[f"sigma-{k}" for k in range(26, 61, 2)] + ["odd-61", "odd-101"]
-        + [f"ratio-{r}" for r in NEAR_ONE],
+        + [f"ratio-{r}" for r in NEAR_ONE + SMALL],
     )
     def test_passing_estimate_is_close(self, series):
         # the node at x = 1 is exact: no extrapolation toward it from below
@@ -125,9 +143,9 @@ class TestCompareExact:
     @pytest.mark.parametrize("offset, passed", [(F(9, 10), True), (F(11, 10), False)])
     def test_pass_bound_is_relative_to_the_exact_sum(self, monkeypatch, series, exact, offset,
                                                      passed):
-        # a node value off by offset x 1e-6 max(1, |exact|)
+        # a sum at x = 1 off by offset x 1e-6 max(1, |exact|)
         miss = offset * F(1, 10 ** 6) * max(1, abs(exact))
-        monkeypatch.setattr(abel, "_node_value", lambda *args: abel._decimal(exact + miss))
+        monkeypatch.setattr(abel, "_sum_at_one", lambda series: float(exact + miss))
         report = compare_exact(series)
         assert (report.exact, report.passed, report.nodes) == (exact, passed, 1)
 
@@ -215,8 +233,8 @@ class TestStatePerEstimate:
         ],
     )
     def test_zero_terms_settle(self, recurrence, initial, exact):
-        # zero terms repeat partial sums: a node below x = 1 skips them, the
-        # node at x = 1 keeps them and does not settle in column 0
+        # zero terms repeat partial sums: a run of them is shorter than d
+        # unless the series is eventually zero, so no whole column 0 is flat
         series = CFiniteSeries(recurrence, initial)
         report = compare_exact(series)
         assert report.passed
@@ -230,15 +248,15 @@ class TestStatePerEstimate:
 
 
 class TestNodeAtOne:
-    """compare_exact reads the epsilon node at x = 1; block means are its fallback."""
+    """compare_exact reads the epsilon node at x = 1, stride 1; block means
+    are its fallback."""
 
     @pytest.mark.parametrize(
         "recurrence, initial, exact",
         [
             # sums 1, 1, 0, 1, 1, 0, ...: without the zeros, 1, 0, 1, 0 settles on 1/2
             ([-1, -1], [1, 0], F(2, 3)),
-            # the node at x = 7/8 does not settle here (the strict xfail above),
-            # but x = 1 does
+            # the series of test_recurring_zero_terms, at x = 1
             ([0, 0, -1, 0, 0, F(-1, 3)], [0, -3, 3, 3, 2, 2], F(3)),
         ],
     )
@@ -264,14 +282,25 @@ class TestNodeAtOne:
     def test_unsettled_node_falls_back_to_block_means(self, recurrence, initial, exact):
         series = CFiniteSeries(recurrence, initial)
         with pytest.raises(NonconvergenceError):
-            abel._value_at(node_pairs(series), series.order, F(1))
+            node_value(series)
         report = compare_exact(series)
         assert (report.exact, report.passed, report.nodes) == (exact, True, 1)
 
 
+def node_value(series):
+    """The node at x = 1 alone: _sum_at_one with no stride above 1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abel, "_MAX_STRIDE", 1)
+        return abel._sum_at_one(series)
+
+
 def forced_block_value(series):
-    """The block-means estimate at x = 1, whether or not the node there settles."""
-    return abel._block_value(series, [], series._term_pairs())
+    """The block-means estimate at x = 1, whether or not the node there
+    settles: the guard skips stride 1 as well."""
+    guard = abel._repeated_unit_root
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abel, "_repeated_unit_root", lambda q, p: p == 1 or guard(q, p))
+        return abel._sum_at_one(series)
 
 
 def within_bound(estimate, exact):
@@ -331,9 +360,9 @@ class TestBlockMeans:
         assert product == Polynomial([-1] + [0] * (n - 1) + [1])
 
     @pytest.mark.parametrize("recurrence, strides", [
-        ([0, 0, 0, 1, 0, 0, 0, F(1, 2)], [4, 2, 3, 5, 6, 7, 8]),  # the gcd 4 first
-        ([1, 0, 1], [2, 3]),  # gcd 1: 2..d
-        ([0] * 11 + [1], [2, 3, 4, 5, 6, 7, 8]),  # no stride above 8
+        ([0, 0, 0, 1, 0, 0, 0, F(1, 2)], [1, 4, 2, 3, 5, 6, 7, 8]),  # the gcd 4 after 1
+        ([1, 0, 1], [1, 2, 3]),  # gcd 1: 1..d
+        ([0] * 11 + [1], [1, 2, 3, 4, 5, 6, 7, 8]),  # no stride above 8
     ])
     def test_strides_and_no_settled_stride(self, monkeypatch, recurrence, strides):
         tried = []
@@ -345,7 +374,7 @@ class TestBlockMeans:
         monkeypatch.setattr(abel, "_repeated_unit_root", skip)
         series = CFiniteSeries(recurrence, [1] * len(recurrence))
         with pytest.raises(NonconvergenceError, match="no block means"):
-            forced_block_value(series)
+            abel._sum_at_one(series)
         assert tried == strides
 
 
@@ -401,7 +430,7 @@ class TestStructuredCorpus:
         settled = 0
         for series in corpus:
             with contextlib.suppress(NonconvergenceError):
-                value = abel._value_at(node_pairs(series), series.order, F(1))
+                value = node_value(series)
                 settled += 1
                 assert within_bound(value, axiomatic_sum(series).value), series
         assert settled > 1000
@@ -410,7 +439,7 @@ class TestStructuredCorpus:
         fallback = 0
         for series in corpus:
             try:
-                abel._value_at(node_pairs(series), series.order, F(1))
+                node_value(series)
             except NonconvergenceError:
                 fallback += 1
                 report = compare_exact(series)
@@ -448,11 +477,13 @@ def node_corpus(rng):
 
 
 class TestSuffixAtOne:
-    """At x = 1 each epsilon window runs first on its last 2d + 5 sums. An
-    entry depends only on the sums under it, so where the suffix settles it
-    returns the very entry the full window returns: the same digits and
-    exponent, and so the same printed estimate.  (On 13 of these windows
-    the full window returns that entry without calling it settled.)"""
+    """Each epsilon window runs first on its last 2d + 5 sums. An entry
+    depends only on the sums under it, so where the suffix settles in a
+    column above 0 it returns the very entry the full window returns: the
+    same digits and exponent, and so the same printed estimate.  (On 13 of
+    these windows the full window returns that entry without calling it
+    settled.)  Where the suffix settles in column 0, the whole suffix is
+    flat, and the value is the window's last sum."""
 
     def test_suffix_settles_on_the_full_windows_entry(self):
         same = 0
@@ -461,14 +492,20 @@ class TestSuffixAtOne:
             terms, digits = abel._node_inputs(node_pairs(series))
             with localcontext() as ctx:
                 ctx.prec = digits
-                sums = abel._partial_sums(terms, Decimal(1))
+                sums = list(accumulate(terms))
                 for start in (d, 2 * d + 7, 3 * d + 14):  # the windows of _settled
                     window = sums[start:start + 2 * d + 21]
-                    value, settled = abel._wynn_even(window[-2 * d - 5:], digits, every_n=True)
-                    if settled:
-                        full, _ = abel._wynn_even(window, digits, every_n=True)
-                        assert value.as_tuple() == full.as_tuple(), series
+                    suffix = window[-2 * d - 5:]
+                    value, settled = abel._wynn_even(suffix, digits)
+                    if not settled:
+                        continue
+                    full, _ = abel._wynn_even(window, digits)
+                    if value.as_tuple() == full.as_tuple():
                         same += 1
+                    else:  # settled in column 0
+                        assert value.as_tuple() == window[-1].as_tuple(), series
+                        spread = max(suffix) - min(suffix)
+                        assert spread <= abel._SETTLE * (1 + abs(value)), series
         assert same > 100
 
     def test_suffix_runs_first(self, monkeypatch):
@@ -481,16 +518,16 @@ class TestSuffixAtOne:
 
         monkeypatch.setattr(abel, "_wynn_even", recording)
         # sigma 8 (d = 9) settles on the last 23 of the sums 9..47, its first
-        # window; the node below x = 1 runs the full windows only
+        # window; the node below x = 1 runs that suffix first as well
         series = alternating_power_series(8)
         assert compare_exact(series).passed
         terms, digits = abel._node_inputs(node_pairs(series))
         with localcontext() as ctx:
             ctx.prec = digits
-            assert runs == [abel._partial_sums(terms, Decimal(1))[25:48]]
+            assert runs == [list(accumulate(terms))[25:48]]
         runs.clear()
         partial_value(series, F(1, 2))
-        assert runs and {len(sums) for sums in runs} == {2 * 9 + 21}
+        assert len(runs[0]) == 2 * 9 + 5
 
 
 def fraction_node_inputs(series):
@@ -521,12 +558,24 @@ class TestIntegerNodeInputs:
             widened += digits > 50
         assert widened > 0
 
-    def test_sums_at_one_are_the_running_sum(self):
+    def test_sums_at_one_are_the_running_sum(self, monkeypatch):
+        # the sums the windows of stride 1 read
+        seen = []
+        settled = abel._settled
+
+        def recording(sums, *args):
+            seen.append(sums)
+            return settled(sums, *args)
+
+        monkeypatch.setattr(abel, "_settled", recording)
         for series in node_corpus(random.Random(29)):
+            seen.clear()
+            with contextlib.suppress(NonconvergenceError):
+                node_value(series)
+            sums, = seen
             terms, digits = abel._node_inputs(node_pairs(series))
             with localcontext() as ctx:
                 ctx.prec = digits
-                sums = abel._partial_sums(terms, Decimal(1))
                 running, total = [], Decimal(0)
                 for a in terms:
                     total += a

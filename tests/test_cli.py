@@ -127,6 +127,15 @@ class TestSigmaCommand:
         assert first == "-1/2"
         assert numeric.endswith(": pass")
 
+    def test_small_ratio_settles_in_column_zero(self, capsys):
+        # terms fall below the working precision, so the node at x = 1 can
+        # settle only in column 0, and d = 1 leaves no block means to try
+        code, out, _ = run(capsys, "sum", "poly 1 ratio 1/100", "--numeric")
+        assert code == 0
+        first, numeric = out.split("\n")
+        assert first == "100/99"
+        assert numeric.endswith(": pass")
+
     @pytest.mark.parametrize("argv, calls", [
         (["sigma", "5", "--numeric"], 1),
         (["sigma", "40", "--numeric", "--format", "json"], 1),
