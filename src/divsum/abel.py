@@ -10,9 +10,10 @@ one x < 1 as the sum at 1 of the series a_n x^n, whose recurrence
 coefficients are c_j x^j.  Both run one loop over strides: stride 1 is
 the partial sums themselves, and where they do not settle, block means of
 the partial sums, which average out the roots of unity among the
-recurrence's roots, take their place.  Each epsilon window runs first on
-its last 2d + 5 sums, and only a whole flat even column settles it.
-Stride p reads the first p (5d + 35) terms of an order-d series.
+recurrence's roots, take their place.  Each stride runs Wynn's table on
+three windows of 2d + 5 sums, once each, and only a whole flat even
+column settles a window.  Stride p reads the first p (5d + 35) terms of
+an order-d series.
 
 All summation runs in ``decimal`` arithmetic at a precision derived from
 the size of the terms, with 50 digits as the floor.
@@ -73,26 +74,26 @@ class ComparisonReport:
         }
 
 
-def _wynn_even(sums: list[Decimal], digits: int) -> tuple[Decimal, bool]:
-    """Best even-column epsilon value for a sequence of partial sums.
+def _wynn_even(sums: list[Decimal], digits: int) -> Decimal | None:
+    """The entry of a whole flat even column of the sums' epsilon table, or None.
 
-    Returns (value, settled).  A pair is flat when its difference is below
-    the working precision ``digits`` at the sums' scale, or half the digits
-    below its entries: an exactly equal pair keeps the rounding error that
-    earlier columns amplified.  In an even column, column 0 included, a
-    flat first pair settles the value when the whole column is flat.  A
-    shorter flat run may be one phase of a periodic column, or a run of
-    zero terms, which is shorter than d unless the series is eventually
-    zero.  Any other flat pair makes the next entry infinite (None); two
-    columns on, Wynn's particular rule E = N + S - W replaces the rhombus
-    rule.  Larger singular blocks leave the value unsettled.
+    A pair is flat when its difference is below the working precision
+    ``digits`` at the sums' scale, or half the digits below its entries:
+    an exactly equal pair keeps the rounding error that earlier columns
+    amplified.  In an even column, column 0 included, a flat first pair
+    settles the value when the whole column is flat.  A shorter flat run
+    may be one phase of a periodic column, or a run of zero terms, which
+    is shorter than d unless the series is eventually zero.  Any other
+    flat pair makes the next entry infinite (None); two columns on, Wynn's
+    particular rule E = N + S - W replaces the rhombus rule.  Larger
+    singular blocks, and a table that ends with no flat even column,
+    settle nothing.
     """
     # both flat thresholds as decimal exponents
     low = (max(map(abs, sums)) + 1).adjusted() + 8 - digits
     half = digits // 2
     # the last four columns, from epsilon_(-1) = 0 and epsilon_0 = sums
     cols = [[Decimal(0)] * (len(sums) + 1), list(sums)]
-    even_tails = []
     while len(cols[-1]) >= 2:
         prev, cur = cols[-2], cols[-1]
         col = len(sums) - len(cur)
@@ -101,11 +102,11 @@ def _wynn_even(sums: list[Decimal], digits: int) -> tuple[Decimal, bool]:
             if c is None:  # particular rule around the infinite entry c
                 cross = (prev[i], prev[i + 2], cols[-4][i + 2])
                 if None in cross:
-                    return (even_tails or sums)[-1], False
+                    return None
                 new.append(cross[0] + cross[1] - cross[2])
             elif a is None or b is None:
                 if a is b:  # two infinite entries side by side: a larger block
-                    return (even_tails or sums)[-1], False
+                    return None
                 new.append(c)
             elif (delta := b - a) and (e := delta.adjusted()) >= low and e + half >= b.adjusted():
                 new.append(c + _ONE / delta)
@@ -113,35 +114,23 @@ def _wynn_even(sums: list[Decimal], digits: int) -> tuple[Decimal, bool]:
                   or max(cur) - min(cur) > _SETTLE * (1 + abs(cur[-1]))):
                 new.append(None)
             else:
-                return cur[-1], True
+                return cur[-1]
         cols = cols[-3:] + [new]
-        if col % 2 == 1 and new[-1] is not None:
-            even_tails.append(new[-1])
-    value = (even_tails or sums)[-1]
-    return value, len(even_tails) >= 2 and abs(value - even_tails[-2]) <= _SETTLE * (1 + abs(value))
-
-
-def _settled(sums: list[Decimal], order: int, digits: int):
-    """The first of three epsilon windows of 2d + 21 sums that settles, or None.
-
-    Each window runs first on its last 2d + 5 sums, and in full only where
-    they do not settle.  An entry depends only on the sums under it, so
-    the suffix ends on the full window's own entries, and it holds column
-    2d, where an order-d series is exact, with five entries.
-    """
-    span = 2 * order + 21
-    for start in (order, 2 * order + 7, 3 * order + 14):
-        window = sums[start:start + span]
-        for run in (window[-2 * order - 5:], window):
-            value, settled = _wynn_even(run, digits)
-            if settled:
-                return value
     return None
 
 
-def _node_length(order: int) -> int:
-    """The terms one node reads: its last epsilon window ends at term 5d + 34."""
-    return 5 * order + 35
+def _settled(sums: list[Decimal], order: int, digits: int) -> Decimal | None:
+    """The value of the first of three epsilon windows that settles, or None.
+
+    The windows are the 2d + 5 sums that end at sums 3d + 21, 4d + 28 and
+    5d + 35, the last of the 5d + 35 sums a node reads.  Each holds column
+    2d, where an order-d series is exact, with five entries.
+    """
+    for end in (3 * order + 21, 4 * order + 28, 5 * order + 35):
+        value = _wynn_even(sums[end - 2 * order - 5:end], digits)
+        if value is not None:
+            return value
+    return None
 
 
 def _node_inputs(pairs: list[tuple[int, int]]) -> tuple[list[Decimal], int]:
@@ -222,7 +211,7 @@ def _sum_at_one(series: CFiniteSeries) -> float:
     for p in sorted(range(1, min(d, _MAX_STRIDE) + 1), key=lambda p: p not in (1, g)):
         if _repeated_unit_root(q, p):
             continue
-        n = p * _node_length(d)
+        n = p * (5 * d + 35)  # the end of the last window of _settled
         pairs += islice(stream, max(n - len(pairs), 0))
         terms, digits = _node_inputs(pairs[:n])
         with localcontext() as ctx:
@@ -232,7 +221,7 @@ def _sum_at_one(series: CFiniteSeries) -> float:
             value = _settled(means, d, digits)
         if value is not None:
             return float(value)
-    raise NonconvergenceError("no block means of the partial sums at x = 1 stabilise")
+    raise NonconvergenceError("the partial sums at x = 1 and their block means did not stabilise")
 
 
 def compare_exact(series: CFiniteSeries) -> ComparisonReport:

@@ -235,6 +235,13 @@ class TestExitOne:
             1, "", "numeric evaluation failed: no limit here\n"
         )
 
+    def test_no_stride_settles(self, capsys, monkeypatch):
+        # the text names the failure as not stabilised, as partial_value's does
+        monkeypatch.setattr(abel, "_settled", lambda sums, order, digits: None)
+        code, out, err = run(capsys, "sum", "poly 1 ratio 1/2", "--numeric")
+        assert (code, out, err) == (1, "", "numeric evaluation failed: the partial sums "
+                                           "at x = 1 and their block means did not stabilise\n")
+
     @pytest.mark.parametrize("fmt, stdout", [
         ("plain", "violated: lhs=1 rhs=2 at {'k': 3}\n"),
         ("json", '{"holds": false, "identity": "eq4", "lhs": "1", '
