@@ -85,9 +85,9 @@ def _wynn_even(sums: list[Decimal], digits: int) -> Decimal | None:
     may be one phase of a periodic column, or a run of zero terms, which
     is shorter than d unless the series is eventually zero.  Any other
     flat pair makes the next entry infinite (None); two columns on, Wynn's
-    particular rule E = N + S - W replaces the rhombus rule.  Larger
-    singular blocks, and a table that ends with no flat even column,
-    settle nothing.
+    particular rule E = N + S - W replaces the rhombus rule.  Two infinite
+    entries side by side settle nothing a column before that rule meets
+    them, and so does a table that ends with no flat even column.
     """
     # both flat thresholds as decimal exponents
     low = (max(map(abs, sums)) + 1).adjusted() + 8 - digits
@@ -100,10 +100,7 @@ def _wynn_even(sums: list[Decimal], digits: int) -> Decimal | None:
         new = []
         for i, (a, b, c) in enumerate(zip(cur, cur[1:], prev[1:])):
             if c is None:  # particular rule around the infinite entry c
-                cross = (prev[i], prev[i + 2], cols[-4][i + 2])
-                if None in cross:
-                    return None
-                new.append(cross[0] + cross[1] - cross[2])
+                new.append(prev[i] + prev[i + 2] - cols[-4][i + 2])
             elif a is None or b is None:
                 if a is b:  # two infinite entries side by side: a larger block
                     return None

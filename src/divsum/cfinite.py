@@ -21,11 +21,11 @@ step is one dot product, ``sum(map(mul, ...))``: a recurrence step takes the
 coefficients against the window of terms, newest first, and a binomial sum
 takes a row of Pascal's triangle, stepped from the one before by additions
 over its first half and mirrored, against the earlier values.  A series
-p(n) r^n is built from values, not from p's coefficients: its closed-form
-values p(0), ..., p(d + 4) as ints over one denominator, taken by integer
-Horner steps for a general p and by int pow for (n + 1)^k and (2n + 1)^k,
-give the initial terms and check the recurrence of (x - r)^d, whose
-coefficients come from one binomial row.
+p(n) r^n is built from its closed-form values p(0), ..., p(d + 4) as ints
+over one denominator, which give the initial terms and check the
+recurrence of (x - r)^d, whose coefficients come from one binomial row.
+The parser and (n + 1)^k, (2n + 1)^k take those values by int arithmetic;
+integer Horner steps on p's coefficients serve only ``poly_exp_series``.
 """
 
 from __future__ import annotations
@@ -181,19 +181,13 @@ def poly_exp_series(polynomial, ratio) -> CFiniteSeries:
     if ratio == 0:
         raise ValueError("ratio must be nonzero")
     coeffs, den = _over_lcm(polynomial.coefficients)
-    return _series_from_values(_horner_values(coeffs), den, ratio)
-
-
-def _horner_values(coeffs: list) -> list:
-    """The integer polynomial sum coeffs[i] n^i at n = 0, ..., len(coeffs) + 4,
-    each by integer Horner steps."""
     values = []
-    for n in range(len(coeffs) + 5):
+    for n in range(len(coeffs) + 5):  # integer Horner steps
         value = 0
         for c in reversed(coeffs):
             value = value * n + c
         values.append(value)
-    return values
+    return _series_from_values(values, den, ratio)
 
 
 def _binomial_row(d: int) -> list:

@@ -18,10 +18,15 @@ coefficients and initial terms directly, as many initial terms as the
 largest lag.  Whitespace is insignificant.  ``2n`` and ``2*n`` both mean
 twice n, and parenthesised groups may carry integer powers, so
 ``poly (2n+1)^2 ratio -1`` is the alternating series of odd squares.
-A polynomial is read as integer coefficients over one denominator, so its
-sums, products and powers run in ints; its values at n = 0, ..., deg + 5
-are taken by integer Horner steps and go to the C-finite kernel over that
-denominator, with no Fraction coefficient formed.
+A polynomial is never expanded.  Each node is read as its exact degree,
+negative for zero, a denominator, and numerators: an int for a constant
+factor, else a function m -> the numerators of p(0), ..., p(m - 1).
+``n`` is ``range``, a sum adds values over the lcm of the denominators, a
+product multiplies them with its int constants folded into one, and a power
+takes int ``pow`` of each, so ``n^E`` costs E + 6 int pows.  A sum whose
+top degree two terms share reads its degree off the forward differences of
+its values at top + 1 points.  After the whole parse, so that errors keep
+their order, p(0), ..., p(deg + 5) go to the C-finite kernel.
 Rejected input raises ``ExpressionSyntaxError`` with its position, or
 ``ArityMismatchError`` when the recurrence order and the initial-term count
 disagree.  A bad character is reported before any syntax error.
@@ -31,17 +36,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import zip_longest
-from math import lcm
+from math import lcm, prod
+from operator import mul, sub
 
-from .cfinite import CFiniteSeries, _horner_values, _series_from_values
-from .polynomials import _power, cauchy_product
+from .cfinite import CFiniteSeries, _series_from_values
 
-__all__ = [
-    "ArityMismatchError",
-    "ExpressionSyntaxError",
-    "parse_series",
-]
+__all__ = ["ArityMismatchError", "ExpressionSyntaxError", "parse_series"]
 
 
 class ExpressionSyntaxError(ValueError):
@@ -117,42 +117,66 @@ class _Parser:
                 raise ExpressionSyntaxError(pos, ("a positive integer",), "0")
         return Fraction(sign * numerator, denominator)
 
-    def polynomial(self) -> tuple[list, int]:
-        """Read a polynomial as (integer coefficients, common denominator)."""
-        nums, den = [], 1
+    def polynomial(self) -> tuple:
+        """Read a polynomial as (degree, denominator, numerators)."""
+        terms = []
         sign = -1 if self.accept("-") else 1
         while sign:
-            b, b_den = self.term()
-            common = lcm(den, b_den)
-            s, t, den = common // den, sign * common // b_den, common
-            nums = [x * s + y * t for x, y in zip_longest(nums, b, fillvalue=0)]
+            terms.append((sign, *self.term()))
             sign = 1 if self.accept("+") else -1 if self.accept("-") else 0
-        while nums and not nums[-1]:  # so powers of a cancelled sum stay short
-            nums.pop()
-        return nums, den
+        den = lcm(*(t[2] for t in terms))
+        const = sum(s * den // d * c for s, _, d, c, f in terms if not f)
+        scaled = [(s * den // d * c, f) for s, _, d, c, f in terms if f]
+        if not scaled:
+            return (0 if const else -1), den, lambda m: [const] * m
+        scales, fns = zip(*scaled)
 
-    def term(self) -> tuple[list, int]:
-        nums, den = self.factor()
-        while self.accept("*") or self.peek("(") or self.peek("name", "n"):
-            b, b_den = self.factor()
-            nums, den = cauchy_product(nums, b, len(nums) + len(b) - 1), den * b_den
-        return nums, den
+        def nums(m):
+            return [const + sum(map(mul, scales, vs)) for vs in zip(*(f(m) for f in fns))]
 
-    def factor(self) -> tuple[list, int]:
+        *rest, top = sorted(t[1] for t in terms)
+        if top not in rest:
+            return top, den, nums
+        row, deg = nums(top + 1), -1  # two top terms may cancel: the last k with D^k p(0) != 0
+        for k in range(top + 1):
+            if row[0]:
+                deg = k
+            row = list(map(sub, row[1:], row))
+        return deg, den, nums
+
+    def term(self) -> tuple:
+        """Read a term as (degree, denominator, int constant, other factors' numerators or None)."""
+        deg, den, scale, fns = 0, 1, 1, []
+        while True:
+            f_deg, f_den, f = self.factor()
+            deg, den = (-1 if deg < 0 or f_deg < 0 else deg + f_deg), den * f_den
+            if isinstance(f, int):
+                scale *= f
+            else:
+                fns.append(f)
+            if not (self.accept("*") or self.peek("(") or self.peek("name", "n")):
+                break
+        if len(fns) < 2:
+            return deg, den, scale, fns[0] if fns else None
+        return deg, den, scale, lambda m: list(map(prod, zip(*(f(m) for f in fns))))
+
+    def factor(self) -> tuple:
         if self.peek("int"):
             value = self.rational()
-            nums, den = [value.numerator], value.denominator
+            node = (0 if value else -1), value.denominator, value.numerator
         elif self.accept("name", "n"):
-            nums, den = [0, 1], 1
+            node = 1, 1, range
         elif self.accept("("):
-            nums, den = self.polynomial()
+            node = self.polynomial()
             self.expect(")")
         else:
             self.fail("a rational", "'n'", "'('")
-        if self.accept("^"):
-            e = self.integer()
-            return _power(nums, e), den ** e
-        return nums, den
+        if not self.accept("^"):
+            return node
+        e = self.integer()
+        deg, den, base = node
+        f = base ** e if isinstance(base, int) else lambda m: [v ** e for v in base(m)]
+        return deg * e, den ** e, f
 
     def a_of_n(self):
         """Read ``a ( n``, which opens the header and every lagged term."""
@@ -204,13 +228,13 @@ def parse_series(text: str) -> CFiniteSeries:
     if not parser.accept("name", "poly"):
         parser.fail("'poly'", "'rec'")
     poly_pos = parser.position()
-    nums, den = parser.polynomial()
+    deg, den, nums = parser.polynomial()
     parser.expect("name", "ratio", label="'ratio'")
     ratio_pos = parser.position()
     ratio = parser.rational(signed=True)
     parser.expect("end", label="end of input")
-    if not nums:
+    if deg < 0:
         raise ExpressionSyntaxError(poly_pos, ("a nonzero polynomial",), "0")
     if ratio == 0:
         raise ExpressionSyntaxError(ratio_pos, ("a nonzero ratio",), "0")
-    return _series_from_values(_horner_values(nums), den, ratio)
+    return _series_from_values(nums(deg + 6), den, ratio)

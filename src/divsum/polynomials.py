@@ -41,19 +41,6 @@ def _next_row(row: list) -> list:
     return half + half[(n + 1) // 2 - 1 :: -1]
 
 
-def _power(coeffs, e: int) -> list:
-    """Coefficients of the sequence coeffs raised to the power e >= 0, by
-    square-and-multiply over cauchy_product; the zero power is [1]."""
-    result = [1]
-    while e:
-        if e & 1:
-            result = cauchy_product(result, coeffs, len(result) + len(coeffs) - 1)
-        e >>= 1
-        if e:
-            coeffs = cauchy_product(coeffs, coeffs, 2 * len(coeffs) - 1)
-    return result
-
-
 def _over_lcm(values) -> tuple[list, int]:
     """Integer numerators of the rationals values over the lcm of their
     denominators, and that lcm."""
@@ -128,11 +115,6 @@ class Polynomial:
         return Polynomial([c * Fraction(other) for c in self.coefficients])
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        return Polynomial(_power(self.coefficients, exponent))
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)

@@ -529,6 +529,40 @@ class TestSuffixAtOne:
         assert within_bound(node_value(series), F(-1065, 574))
 
 
+class TestSingularBlocks:
+    """An infinite epsilon entry comes from a flat pair; two of them side by
+    side return None while the next column is built, so the particular rule
+    E = N + S - W, one column later, reads only finite entries."""
+
+    def test_particular_rule_settles(self):
+        # the flat pair 3, 3 makes epsilon_1 infinite, and epsilon_3 then
+        # comes from the particular rule; the table settles on -1
+        sums = [Decimal(x) for x in (-1, 3, 3, 1, -1, -2)]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            assert abel._wynn_even(sums, 50) == -1
+
+    def test_windows_full_of_flat_pairs(self):
+        # runs of equal sums, a few repeated values and tiny steps give flat
+        # pairs and infinite entries everywhere; every window settles or
+        # returns None, and none makes the particular rule read None
+        rng = random.Random(15)
+        settled = 0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for _ in range(3000):
+                pool = [Decimal(rng.randint(-3, 3)) / rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 4))]
+                sums = [rng.choice(pool)]
+                for _ in range(rng.randint(2, 24)):
+                    r = rng.random()
+                    step = Decimal(rng.choice((1, -1))) / Decimal(2) ** rng.randint(0, 200)
+                    sums.append(sums[-1] if r < 0.4 else rng.choice(pool) if r < 0.8 else sums[-1] + step)
+                value = abel._wynn_even(sums, 50)
+                settled += value is not None
+                assert value is None or isinstance(value, Decimal)
+        assert 300 < settled < 3000
+
+
 def fraction_node_inputs(series):
     """The node inputs through Fractions: terms(5d + 35), each divided as
     Decimal(numerator) / Decimal(denominator), and the digits from the

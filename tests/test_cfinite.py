@@ -2,7 +2,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import chain, islice
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 
@@ -240,12 +240,12 @@ def verdict_corpus(rng, size):
             + [1]
         )
         zeros = rng.randint(0, 2) or int(pole + other.degree == 0)
-        char = x_minus_1 ** pole * other * Polynomial([0, 1]) ** zeros
+        char = prod([x_minus_1] * pole + [other] + [Polynomial([0, 1])] * zeros, start=Polynomial([1]))
         d = char.degree
         if rng.random() < 0.5:
             initial = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
         else:
-            divisor = x_minus_1 ** rng.randint(0, max(pole - 1, 0)) * other
+            divisor = prod([x_minus_1] * rng.randint(0, max(pole - 1, 0)), start=other)
             if divisor.degree == 0:
                 initial = [F(0)] * d
             else:
@@ -347,7 +347,7 @@ def kernel_corpus(rng, size):
         pole = i % 5
         other = Polynomial([rational() for _ in range(rng.randint(0, 3))] + [1])
         zeros = rng.randint(0, 2) or int(pole + other.degree == 0)
-        char = x_minus_1 ** pole * other * Polynomial([0, 1]) ** zeros
+        char = prod([x_minus_1] * pole + [other] + [Polynomial([0, 1])] * zeros, start=Polynomial([1]))
         d = char.degree
         mode = rng.random()
         if mode < 0.1:
@@ -355,7 +355,7 @@ def kernel_corpus(rng, size):
         elif mode < 0.55:
             initial = [rational() for _ in range(d)]
         else:
-            divisor = x_minus_1 ** rng.randint(0, max(pole - 1, 0)) * other
+            divisor = prod([x_minus_1] * rng.randint(0, max(pole - 1, 0)), start=other)
             if divisor.degree == 0:
                 initial = [F(0)] * d
             else:

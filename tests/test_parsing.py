@@ -15,6 +15,7 @@ from divsum.cfinite import (
 from divsum.parsing import (
     ArityMismatchError,
     ExpressionSyntaxError,
+    _Parser,
     parse_series,
 )
 from divsum.polynomials import Polynomial
@@ -72,6 +73,55 @@ class TestPolyForm:
     def test_zero_ratio_rejected(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_series("poly n ratio 0")
+
+    # sums whose top degree two terms share, where the degree drops, with
+    # the coefficients of the polynomial they denote, expanded by hand
+    @pytest.mark.parametrize("text, coeffs, ratio", [
+        ("(n+1)^2 - n^2", [1, 2], -1),
+        ("(n+1)^3 - n^3 - 3n^2 - 3n", [1], F(1, 2)),
+        ("n^2 - n*n + 5", [5], 3),
+        ("0*n^5 + 3", [3], F(-2, 3)),
+        ("(n-n)^0*n", [0, 1], -1),
+        ("(n-n)^3 + 1", [1], 2),
+        ("((n+1)^2 - n^2 - 2n)^50 * (2n+1)^3", [1, 6, 12, 8], -1),
+    ])
+    def test_degree_recovered_at_a_cancelling_sum(self, text, coeffs, ratio):
+        expected = poly_exp_series(Polynomial(coeffs), ratio)
+        assert parse_series(f"poly {text} ratio {ratio}") == expected
+
+    @pytest.mark.parametrize("text, degree", [
+        ("n^3", 3), ("2/3", 0), ("0", -1), ("0*n^5", -1), ("(n-n)^3", -1), ("(n-n)^0", 0),
+        ("0^0", 0), ("(n+1)^2 - n^2", 1), ("(n-n)^3*n + 2 - 2", -1), ("n(n+1)^4", 5),
+    ])
+    def test_node_degree_is_exact(self, text, degree):
+        # the zero polynomial, and only it, has degree -1 as a sum or a term
+        assert _Parser(text).polynomial()[0] == degree
+
+    @pytest.mark.parametrize("text, position", [
+        ("poly (n+1)^2 - n^2 - 2n - 1 ratio 2", 5),
+        ("poly 0^3 ratio -1", 5),
+        ("poly  (n-n)^2 ratio 1/2", 6),
+    ])
+    def test_cancelled_to_zero_rejected_at_the_polynomial(self, text, position):
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_series(text)
+        err = info.value
+        assert (err.position, err.expected, err.found) == (position, ("a nonzero polynomial",), "0")
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_nested_expression(self, seed):
+        # sums, products, juxtaposition, powers up to 6, parentheses, rational
+        # constants and terms repeated with the opposite sign, against a
+        # reference built with Polynomial + and * alone
+        rng = random.Random(seed)
+        text, value = _nested_poly(rng, 0)
+        ratio, ratio_text = _signed(rng)
+        expression = f"poly {text} ratio {ratio_text}"
+        if value.is_zero:
+            with pytest.raises(ExpressionSyntaxError, match="expected a nonzero polynomial"):
+                parse_series(expression)
+        else:
+            assert parse_series(expression) == poly_exp_series(value, ratio), expression
 
 
 class TestRecForm:
@@ -317,6 +367,61 @@ def _random_rec(rng):
     init_text = ("," + _space(rng)).join(text for _, text in initial)
     text = f"rec a(n){_space(rng)}={_space(rng)}{''.join(pieces)};{_space(rng)}init {init_text}"
     return text, weights, [value for value, _ in initial]
+
+
+def _nested_factor(rng, depth):
+    """A factor of _nested_poly and its value: a rational, n, or a
+    parenthesised polynomial, with a power up to 6 (up to 3 inside)."""
+    kind = rng.choice(("rational", "n", "group") if depth < 2 else ("rational", "n"))
+    if kind == "rational":
+        num, den = rng.randint(0, 9), rng.choice((1, 1, 2, 3, 4, 6))
+        text, value = (f"{num}/{den}" if den > 1 else str(num)), Polynomial([F(num, den)])
+    elif kind == "n":
+        text, value = "n", Polynomial([0, 1])
+    else:
+        inner, value = _nested_poly(rng, depth + 1)
+        text = f"({_space(rng)}{inner}{_space(rng)})"
+    if rng.random() < 0.4:
+        power = rng.randint(0, 6 if depth == 0 else 3)
+        base, value = value, Polynomial([1])
+        for _ in range(power):
+            value = value * base
+        text += f"{_space(rng)}^{_space(rng)}{power}"
+    return text, value
+
+
+def _nested_term(rng, depth):
+    """Up to three factors of _nested_factor, joined by '*' or juxtaposed."""
+    text, value = _nested_factor(rng, depth)
+    for _ in range(rng.randint(0, 2)):
+        more, factor = _nested_factor(rng, depth)
+        glue = rng.choice(["*", " * ", "", " "])
+        if more[0].isdigit() and glue.strip() != "*":
+            glue = "*"  # only a factor that starts with 'n' or '(' may be juxtaposed
+        elif not glue and text[-1] == more[0] == "n":
+            glue = " "  # "nn" would read as one name
+        text, value = f"{text}{glue}{more}", value * factor
+    return text, value
+
+
+def _nested_poly(rng, depth):
+    """Up to three terms under an optional leading minus; each later term is,
+    one time in three, an earlier one with the opposite sign, so the sum may
+    lose degree."""
+    sign = rng.choice((1, 1, -1))
+    text, value = _nested_term(rng, depth)
+    terms, text, value = [(sign, text, value)], ("-" if sign < 0 else "") + text, value * sign
+    for _ in range(rng.randint(0, 2)):
+        sign = rng.choice((1, -1))
+        if rng.random() < 1 / 3:
+            back, more, term = rng.choice(terms)
+            sign = -back
+        else:
+            more, term = _nested_term(rng, depth)
+        terms.append((sign, more, term))
+        text += f"{_space(rng)}{'+' if sign > 0 else '-'}{_space(rng)}{more}"
+        value = value + term * sign
+    return text, value
 
 
 class TestSpellingCorpus:
